@@ -32,6 +32,7 @@ from . import datagen, evalkit, gp, synthgen
 from .expr import (
     DecodeError,
     ParseError,
+    VariableIndexError,
     canonicalize,
     expression_to_prefix,
     from_preorder,
@@ -211,8 +212,8 @@ def cmd_eval(args) -> int:
         validation = (
             datagen.read(val_path, problem_id=pid, split="val") if val_path.is_file() else None
         )
-        reports.append(
-            evalkit.evaluate_against(
+        try:
+            report = evalkit.evaluate_against(
                 pred,
                 truth,
                 test,
@@ -221,7 +222,9 @@ def cmd_eval(args) -> int:
                 tau=args.tau,
                 validation=validation,
             )
-        )
+        except VariableIndexError as err:
+            raise datagen.DataError(f"{pid}: invalid prediction: {err}") from None
+        reports.append(report)
     if not reports:
         raise datagen.DataError(f"no predictions found under {pred_root}")
     payload = evalkit.report_payload(reports, evalkit.summarize(reports))

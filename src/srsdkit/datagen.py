@@ -10,10 +10,10 @@ non-positive, overflow) are rejected and redrawn, so emitted datasets are
 fault-free. Everything is deterministic given (spec, n, seed).
 
 On-disk format: one row per line, whitespace-separated doubles in shortest
-round-trip form, sampled variables in spec order with the target last. A
-problem directory holds train.txt / val.txt / test.txt plus true_eq.txt
-(line 1: the true skeleton in preorder tokens; line 2: its constant values
-in display order, possibly empty).
+round-trip form, sampled variables in spec order with the target last;
+reading rejects non-finite cells. A problem directory holds train.txt /
+val.txt / test.txt plus true_eq.txt (line 1: the true skeleton in preorder
+tokens; line 2: its constant values in display order, possibly empty).
 """
 
 from __future__ import annotations
@@ -217,12 +217,16 @@ def read(path, problem_id: str | None = None, column_names: list[str] | None = N
         rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
+    values = np.array(rows, dtype=np.float64)
+    bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad_rows.size:
+        raise DataError(f"{path}: non-finite value in data row {bad_rows[0] + 1}")
     if column_names is None:
         column_names = [f"x{i + 1}" for i in range(width - 1)] + ["target"]
     return Dataset(
         problem_id=problem_id or Path(path).parent.name,
         column_names=column_names,
-        values=np.array(rows, dtype=np.float64),
+        values=values,
         split=split,
     )
 

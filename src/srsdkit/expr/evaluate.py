@@ -8,6 +8,14 @@ Two evaluators with the same fault semantics:
   reported in a boolean mask instead of raising. A row faults if any node in
   the tree produces a non-finite value for it.
 
+``evaluate_many`` is one iterative postorder walk: an explicit stack lists the
+nodes, and a loop over them keeps an operand stack, so tree depth is bounded
+by memory, not by Python's recursion limit. Variable leaves push column views
+of ``X`` and constant leaves a filled array. Each operator applies its numpy
+ufunc, writing into an operand array the walk allocated itself when there is
+one; n-ary ``add`` and ``mul`` fold left to right. After every operator,
+``isfinite`` of its result is folded into one row mask.
+
 Faults cover log of a non-positive, 0 raised to a negative power, a negative
 base with a fractional exponent, division by zero, and overflow to infinity:
 evaluation never returns NaN or infinity silently.
@@ -20,6 +28,26 @@ import math
 import numpy as np
 
 from .nodes import Expression
+
+_UFUNCS = {
+    "add": np.add,
+    "mul": np.multiply,
+    "pow": np.power,
+    "div": np.divide,
+    "neg": np.negative,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "exp": np.exp,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "tanh": np.tanh,
+    "abs": np.abs,
+}
+
+
+class VariableIndexError(ValueError):
+    """The tree reads a variable that the data matrix has no column for."""
 
 
 class DomainFault(ArithmeticError):
@@ -101,62 +129,65 @@ def evaluate_many(expr: Expression, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Evaluate over all rows of ``X`` (shape (n, k)).
 
     Returns ``(values, fault_mask)``. ``values`` is meaningful only where
-    ``fault_mask`` is False.
+    ``fault_mask`` is False, and never shares memory with ``X``.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-dimensional")
-    bad = np.zeros(X.shape[0], dtype=bool)
+    n, width = X.shape
+    # Root first, each node before its subtrees, children right to left:
+    # reversed, this is a postorder with children left to right.
+    order = []
+    todo = [expr]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        todo.extend(node.children)
+    ok = np.ones(n, dtype=bool)
+    finite = np.empty(n, dtype=bool)
+    # Views of X have a base; arrays with none were allocated by this call
+    # and may be overwritten.
+    operands: list[np.ndarray] = []
     with np.errstate(all="ignore"):
-        values = _eval_many(expr, X, bad)
-    bad |= ~np.isfinite(values)
-    return values, bad
-
-
-def _eval_many(expr: Expression, X: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    if expr.is_constant:
-        return np.full(X.shape[0], expr.value)
-    if expr.is_variable:
-        if expr.index >= X.shape[1]:
-            raise ValueError(f"matrix too narrow for variable index {expr.index}")
-        return X[:, expr.index].copy()
-
-    args = [_eval_many(c, X, bad) for c in expr.children]
-    op = expr.op
-    if op == "add":
-        out = args[0]
-        for a in args[1:]:
-            out = out + a
-    elif op == "mul":
-        out = args[0]
-        for a in args[1:]:
-            out = out * a
-    elif op == "pow":
-        out = np.power(args[0], args[1])
-    elif op == "div":
-        out = args[0] / args[1]
-    elif op == "neg":
-        out = -args[0]
-    elif op == "log":
-        out = np.log(args[0])
-    elif op == "sqrt":
-        out = np.sqrt(args[0])
-    elif op == "exp":
-        out = np.exp(args[0])
-    elif op == "sin":
-        out = np.sin(args[0])
-    elif op == "cos":
-        out = np.cos(args[0])
-    elif op == "tan":
-        out = np.tan(args[0])
-    elif op == "tanh":
-        out = np.tanh(args[0])
-    elif op == "abs":
-        out = np.abs(args[0])
-    else:  # pragma: no cover
-        raise AssertionError(op)
-
-    # Flag intermediate blow-ups too, so a later operation cannot launder an
-    # overflow back into a finite value (e.g. 1/exp(1000)).
-    bad |= ~np.isfinite(out)
-    return out
+        for node in reversed(order):
+            if node.op is None:
+                if node.index is None:
+                    # A full array, not a scalar: np.power takes shortcuts for
+                    # scalar exponents such as 2.0 and 0.5 that round differently.
+                    operands.append(np.full(n, node.value))
+                elif node.index < width:
+                    operands.append(X[:, node.index])
+                else:
+                    raise VariableIndexError(
+                        f"variable X{node.index + 1} (index {node.index}) is past the "
+                        f"last of {width} input columns"
+                    )
+                continue
+            k = len(node.children)
+            args = operands[-k:]
+            del operands[-k:]
+            # The result goes into the first or second operand when this call
+            # owns it: later operands of add and mul are read only after both
+            # of those have been consumed.
+            if args[0].base is None:
+                out = args[0]
+            elif k > 1 and args[1].base is None:
+                out = args[1]
+            else:
+                out = np.empty(n)
+            ufunc = _UFUNCS[node.op]
+            if k == 1:
+                ufunc(args[0], out=out)
+            else:
+                ufunc(args[0], args[1], out=out)
+                for arg in args[2:]:  # add and mul fold left to right
+                    ufunc(out, arg, out=out)
+            # Flag intermediate blow-ups too, so a later operation cannot
+            # launder an overflow back into a finite value (1/exp(1000)).
+            ok &= np.isfinite(out, out=finite)
+            operands.append(out)
+    values = operands.pop()
+    if values.base is not None:
+        values = values.copy()
+        ok &= np.isfinite(values, out=finite)
+    return values, ~ok

@@ -10,7 +10,10 @@ training rows scores infinity, so evolution is total without hiding domain
 errors behind patched operators. Final reported metrics evaluate strictly.
 
 Deterministic for a given config: one sequential RNG drives all structural
-choices, and fitness evaluation is pure.
+choices, and fitness evaluation is pure. Because it is pure, equal trees are
+scored once per generation: each generation keeps a dict from tree to score,
+seeded with the current population, and an offspring equal to a tree in it
+reuses that score.
 """
 
 from __future__ import annotations
@@ -166,6 +169,14 @@ def fitness(expr: Expression, train: Dataset) -> float:
     return relative_error_score(expr, train.X, train.y)
 
 
+def _memo_fitness(known: dict[Expression, float], expr: Expression, train: Dataset) -> float:
+    """``fitness`` of ``expr``, computed only if ``known`` lacks it."""
+    score = known.get(expr)
+    if score is None:
+        score = known[expr] = fitness(expr, train)
+    return score
+
+
 def _tournament(population: list[Individual], rng: random.Random, k: int) -> Individual:
     picks = [population[rng.randrange(len(population))] for _ in range(k)]
     return min(picks, key=lambda ind: ind.fitness)
@@ -182,13 +193,17 @@ def evolve(train: Dataset, config: GPConfig) -> list[Expression]:
     factory = _TreeFactory(config, n_vars, rng)
 
     population = [Individual(factory.ramped()) for _ in range(config.population_size)]
+    known: dict[Expression, float] = {}
     for ind in population:
-        ind.fitness = fitness(ind.expr, train)
+        ind.fitness = _memo_fitness(known, ind.expr, train)
 
     for _ in range(config.generations):
         best = min(population, key=lambda ind: ind.fitness)
         if best.fitness <= config.early_stop:
             break
+        # The parents' scores plus the offspring's; rebuilt every generation,
+        # so it holds no tree that has died out.
+        known = {ind.expr: ind.fitness for ind in population}
         next_pop = [Individual(best.expr, best.fitness)]  # elitism of one
         while len(next_pop) < config.population_size:
             roll = rng.random()
@@ -202,7 +217,7 @@ def evolve(train: Dataset, config: GPConfig) -> list[Expression]:
                 child = _point_mutation(parent.expr, factory, rng)
             else:
                 child = parent.expr
-            next_pop.append(Individual(child, fitness(child, train)))
+            next_pop.append(Individual(child, _memo_fitness(known, child, train)))
         population = next_pop
 
     ranked = sorted(enumerate(population), key=lambda pair: (pair[1].fitness, pair[0]))

@@ -1,4 +1,4 @@
-"""Independent oracles for the tree edit distance.
+"""Independent oracles for the tree edit distance and batch evaluation.
 
 * :func:`brute_force_distance` enumerates every order-consistent one-to-one
   node mapping (Tai mapping) between two small trees and takes the cheapest:
@@ -9,13 +9,20 @@
   memoization; usable to a few dozen nodes.
 
 Both share nothing with the keyroot/forest dynamic program they check.
+
+* :func:`recursive_evaluate_many` is the straightforward recursive batch
+  evaluator: a fresh array per node, a column copy per variable leaf. The
+  iterative ``evaluate_many`` must match its values and fault masks bit for
+  bit.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from srsdkit.expr import SkeletonTree
+import numpy as np
+
+from srsdkit.expr import Expression, SkeletonTree
 from srsdkit.treedist import EditCostModel, UNIT_COSTS
 
 
@@ -100,3 +107,56 @@ def recursive_forest_distance(a: SkeletonTree, b: SkeletonTree, costs: EditCostM
         return min(delete_root, insert_root, match_roots)
 
     return fdist((a,), (b,))
+
+
+def recursive_evaluate_many(expr: Expression, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    X = np.asarray(X, dtype=np.float64)
+    bad = np.zeros(X.shape[0], dtype=bool)
+    with np.errstate(all="ignore"):
+        values = _eval_many(expr, X, bad)
+    bad |= ~np.isfinite(values)
+    return values, bad
+
+
+def _eval_many(expr: Expression, X: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    if expr.is_constant:
+        return np.full(X.shape[0], expr.value)
+    if expr.is_variable:
+        return X[:, expr.index].copy()
+
+    args = [_eval_many(c, X, bad) for c in expr.children]
+    op = expr.op
+    if op == "add":
+        out = args[0]
+        for a in args[1:]:
+            out = out + a
+    elif op == "mul":
+        out = args[0]
+        for a in args[1:]:
+            out = out * a
+    elif op == "pow":
+        out = np.power(args[0], args[1])
+    elif op == "div":
+        out = args[0] / args[1]
+    elif op == "neg":
+        out = -args[0]
+    elif op == "log":
+        out = np.log(args[0])
+    elif op == "sqrt":
+        out = np.sqrt(args[0])
+    elif op == "exp":
+        out = np.exp(args[0])
+    elif op == "sin":
+        out = np.sin(args[0])
+    elif op == "cos":
+        out = np.cos(args[0])
+    elif op == "tan":
+        out = np.tan(args[0])
+    elif op == "tanh":
+        out = np.tanh(args[0])
+    elif op == "abs":
+        out = np.abs(args[0])
+    else:
+        raise AssertionError(op)
+    bad |= ~np.isfinite(out)
+    return out

@@ -117,6 +117,16 @@ def test_eval_missing_predictions_is_data_error(tmp_path, easy_data, capsys):
     assert code == 2
 
 
+def test_eval_prediction_with_missing_variable_is_data_error(tmp_path, easy_data, capsys):
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    (preds / "I.12.1.txt").write_text("mul2 X1 X9\n")
+    code, _, err = run(capsys, "eval", "--pred-dir", str(preds),
+                       "--data-dir", str(easy_data))
+    assert code == 2
+    assert "I.12.1" in err and "X9" in err
+
+
 def test_complexity_rows_and_csv(tmp_path, capsys):
     csv_path = tmp_path / "scatter.csv"
     code, out, _ = run(capsys, "complexity", "--out", str(csv_path))

@@ -161,6 +161,13 @@ def test_read_errors(tmp_path):
         read(alpha)
     assert "line 1" in str(err.value)
 
+    for cell in ("nan", "inf", "-inf", "Infinity"):
+        non_finite = tmp_path / "non_finite.txt"
+        non_finite.write_text(f"1.0 2.0\n3.0 {cell}\n")
+        with pytest.raises(DataError, match="non-finite") as err:
+            read(non_finite)
+        assert str(non_finite) in str(err.value)
+
 
 def test_true_equation_round_trip(tmp_path):
     spec = load_builtin("I.12.4")

@@ -5,6 +5,7 @@ import pytest
 
 from srsdkit.expr import (
     DomainFault,
+    VariableIndexError,
     const,
     div,
     evaluate,
@@ -17,6 +18,7 @@ from srsdkit.expr import (
 )
 
 from gen_util import random_expression
+from oracle import recursive_evaluate_many
 
 
 def test_product_at_point():
@@ -100,3 +102,41 @@ def test_evaluators_agree_on_random_expressions():
                 assert values[i] == pytest.approx(expected, rel=1e-9, abs=1e-12)
                 checked += 1
     assert checked > 200
+
+
+def test_evaluate_many_is_bit_identical_to_recursive_oracle():
+    rng = random.Random(321)
+    data = np.random.default_rng(321)
+    faulted = 0
+    for _ in range(400):
+        e = random_expression(rng, max_depth=6)
+        # Wide magnitudes so that overflow, division by zero and domain
+        # faults all occur, both at the root and inside the tree.
+        X = data.uniform(-3, 3, (64, 3)) * np.exp(data.uniform(-8, 8, (64, 3)))
+        X[data.random(64) < 0.1, 0] = 0.0
+        values, bad = evaluate_many(e, X)
+        want_values, want_bad = recursive_evaluate_many(e, X)
+        assert bad.tolist() == want_bad.tolist()
+        assert values[~bad].view(np.int64).tolist() == want_values[~want_bad].view(np.int64).tolist()
+        faulted += bad.any()
+    assert faulted > 50
+
+
+def test_evaluate_many_deep_chain_does_not_recurse():
+    e = var(0)
+    for _ in range(5000):
+        e = op_node("neg", e)
+    values, bad = evaluate_many(e, np.array([[1.5], [-2.0]]))
+    assert values.tolist() == [1.5, -2.0] and not bad.any()
+
+
+def test_evaluate_many_bare_variable_returns_a_copy():
+    X = np.array([[1.0, 2.0], [3.0, 4.0]])
+    values, bad = evaluate_many(var(1), X)
+    values[:] = 0.0
+    assert X.tolist() == [[1.0, 2.0], [3.0, 4.0]] and not bad.any()
+
+
+def test_evaluate_many_rejects_missing_column():
+    with pytest.raises(VariableIndexError, match="X9"):
+        evaluate_many(mul(var(0), var(8)), np.ones((3, 2)))

@@ -6,7 +6,8 @@ import pytest
 from srsdkit.catalog import load_builtin
 from srsdkit.datagen import Dataset, derive_seed, sample, split
 from srsdkit.evalkit import select_best
-from srsdkit.expr import canonicalize, skeletonize, to_preorder
+from srsdkit import gp
+from srsdkit.expr import canonicalize, expression_to_prefix, skeletonize, to_preorder
 from srsdkit.gp import GPConfig, allowed_node_operators, evolve, fitness
 
 
@@ -115,3 +116,59 @@ def test_discovers_two_variable_product_within_five_seeds():
 def test_sub_operator_expands_to_add_neg():
     cfg = GPConfig(operators=("sub",), const_range=None)
     assert allowed_node_operators(cfg) == {"add", "neg"}
+
+
+# Top-3 of a small run per (problem, seed), recorded before fitness was
+# memoized per generation; any change to the RNG call sequence or to a score
+# moves them.
+PINNED_TOP_K = {
+    ("I.12.4", 0): [
+        "div mul2 add2 X1 mul2 neg -7.311589483323426 div 8.710486758846166 X2 "
+        "div 8.710486758846166 X2 sin sin X1",
+    ] * 3,
+    ("I.12.4", 1): [
+        "mul2 div add2 8.871405075954428 7.323367147331442 X1 exp 7.323367147331442",
+        "mul2 div 8.871405075954428 X1 exp 7.847583972821764",
+        "mul2 div 8.871405075954428 X1 exp 7.847583972821764",
+    ],
+    ("I.34.27", 0): [
+        "div div log X1 X1 mul2 div add2 X1 X1 log X1 add2 X1 neg 2.7614725645620535",
+        "div div log mul2 X1 X1 X1 mul2 X1 add2 sin 3.869430138344974 X1",
+        "div div log mul2 X1 X1 X1 mul2 X1 add2 sin 3.869430138344974 X1",
+    ],
+    ("I.34.27", 1): [
+        "div div -4.327169736835987 X1 mul2 X1 mul2 X1 neg X1",
+        "exp mul2 -6.133252840900536 add2 X1 X1",
+        "mul2 div add2 X1 neg X1 neg X1 mul2 X1 add2 X1 neg X1",
+    ],
+}
+
+
+@pytest.mark.parametrize("problem_id, seed", sorted(PINNED_TOP_K))
+def test_top_k_is_pinned(problem_id, seed):
+    spec = load_builtin(problem_id)
+    train = sample(spec, 200, derive_seed(2, spec.id))
+    top = evolve(train, GPConfig(population_size=80, generations=8, top_k=3, seed=seed))
+    assert [" ".join(expression_to_prefix(e)) for e in top] == PINNED_TOP_K[(problem_id, seed)]
+
+
+def test_no_tree_is_scored_twice_in_one_generation(monkeypatch):
+    spec = load_builtin("I.34.27")
+    train = sample(spec, 200, derive_seed(2, spec.id))
+    scored = []
+
+    def spy(expr, data):
+        scored.append(expr)
+        return fitness(expr, data)
+
+    monkeypatch.setattr(gp, "fitness", spy)
+    # The run is deterministic, so a run of g + 1 generations repeats the
+    # calls of a run of g generations and then makes generation g + 1's.
+    previous = 0
+    for generations in range(6):
+        scored.clear()
+        evolve(train, GPConfig(population_size=80, generations=generations, seed=1))
+        this_generation = scored[previous:]
+        assert this_generation
+        assert len(set(this_generation)) == len(this_generation)
+        previous = len(scored)
