@@ -19,6 +19,7 @@ The ``SRSD_SEED`` environment variable supplies the master seed when
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -56,11 +57,25 @@ def _master_seed(value) -> int:
     return int(os.environ.get("SRSD_SEED", "0"))
 
 
-def _emit(payload: dict, out: str | None) -> None:
+def _emit(payload: dict, out: str | Path | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
+
+
+def _emit_manifest(manifest: dict, out_root: Path) -> None:
+    """Write ``manifest.json`` under ``out_root`` and echo it to stdout."""
+    out_root.mkdir(parents=True, exist_ok=True)
+    _emit(manifest, out_root / "manifest.json")
+
+
+def _map_workers(func, work: list, workers: int) -> list:
+    """``func`` over ``work`` in order; in a process pool when ``workers`` > 1."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(func, work))
+    return [func(w) for w in work]
 
 
 def _load_specs(catalog_files: list[str], set_name: str) -> list[cat.ProblemSpec]:
@@ -109,11 +124,7 @@ def cmd_generate(args) -> int:
     seed = _master_seed(args.seed)
     specs = _load_specs(args.catalog, args.set)
     work = [(s, args.out, args.rows, seed, args.noise, ratios, args.noise_mode) for s in specs]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            entries = list(pool.map(_generate_one, work))
-    else:
-        entries = [_generate_one(w) for w in work]
+    entries = _map_workers(_generate_one, work, args.workers)
     manifest = {
         "command": "generate",
         "config": {
@@ -127,11 +138,7 @@ def cmd_generate(args) -> int:
         },
         "problems": sorted(entries, key=lambda e: e["id"]),
     }
-    Path(args.out).mkdir(parents=True, exist_ok=True)
-    (Path(args.out) / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    _emit(manifest, None)
+    _emit_manifest(manifest, Path(args.out))
     return 0
 
 
@@ -315,10 +322,7 @@ def cmd_synth(args) -> int:
         },
         "equations": entries,
     }
-    (out_root / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    _emit(manifest, None)
+    _emit_manifest(manifest, out_root)
     return 0
 
 
@@ -399,7 +403,7 @@ def _discover_one(args):
     val = datagen.read(pdir / "val.txt", problem_id=pid, split="val")
     candidates = []
     for offset in range(n_seeds):
-        config = gp.GPConfig(**{**base_config.__dict__, "seed": base_config.seed + offset})
+        config = dataclasses.replace(base_config, seed=base_config.seed + offset)
         candidates.extend(gp.evolve(train, config))
     try:
         best = evalkit.select_best(candidates, val)
@@ -429,11 +433,7 @@ def cmd_discover(args) -> int:
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
     work = [(str(d), config, args.seeds) for d in dirs]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_discover_one, work))
-    else:
-        results = [_discover_one(w) for w in work]
+    results = _map_workers(_discover_one, work, args.workers)
     for entry in results:
         if entry["expression"] is not None:
             (out_root / f"{entry['id']}.txt").write_text(
@@ -444,15 +444,11 @@ def cmd_discover(args) -> int:
         "config": {
             "seeds": args.seeds,
             "base_seed": config.seed,
-            "gp": {**config.__dict__, "operators": list(config.operators),
-                   "const_range": list(config.const_range) if config.const_range else None},
+            "gp": dataclasses.asdict(config),
         },
         "problems": sorted(results, key=lambda e: e["id"]),
     }
-    (out_root / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    _emit(manifest, None)
+    _emit_manifest(manifest, out_root)
     return 0
 
 
@@ -549,6 +545,11 @@ def main(argv=None) -> int:
         return 1
     except _DATA_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # The decoders are iterative; canonicalization, skeletons and edit
+        # distances still recurse once per tree level.
+        print("error: expression is nested too deeply to process", file=sys.stderr)
         return 2
 
 

@@ -26,12 +26,17 @@ import numpy as np
 
 from .catalog import ProblemSpec
 from .expr import (
+    DecodeError,
     Expression,
+    const,
     constant_values,
+    decode_preorder,
     evaluate_many,
     from_preorder,
-    skeleton_with_constants,
+    op_node,
     to_preorder,
+    var,
+    variable_index,
 )
 from .expr.skeleton import SkeletonTree
 
@@ -242,9 +247,24 @@ def read_true_equation(path) -> tuple[SkeletonTree, list[float], Expression]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise DataError(f"{path}: empty true-equation file")
-    tree = from_preorder(lines[0].split())
+    tokens = lines[0].split()
     consts = [float(tok) for tok in lines[1].split()] if len(lines) > 1 else []
-    return tree, consts, skeleton_with_constants(tree, consts)
+    tree = from_preorder(tokens)
+    values = iter(consts)
+
+    def leaf(token: str, position: int) -> Expression:
+        index = variable_index(token)
+        if index is not None:
+            return var(index)
+        value = next(values, None)
+        if value is None:
+            raise DecodeError("constant table shorter than the number of C nodes")
+        return const(value)
+
+    expr = decode_preorder(tokens, leaf, op_node)
+    if next(values, None) is not None:
+        raise DecodeError("constant table longer than the number of C nodes")
+    return tree, consts, expr
 
 
 def write_problem_dir(

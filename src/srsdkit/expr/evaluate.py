@@ -1,12 +1,14 @@
 """IEEE-754 double evaluation of expression trees.
 
-Two evaluators with the same fault semantics:
+Two evaluators with the same fault semantics, both reading the operator
+table in :mod:`.nodes`:
 
-* :func:`evaluate` - scalar, raises :class:`DomainFault` carrying the path of
-  the offending subexpression.
-* :func:`evaluate_many` - numpy row-batch evaluation; faulting rows are
-  reported in a boolean mask instead of raising. A row faults if any node in
-  the tree produces a non-finite value for it.
+* :func:`evaluate` - scalar, applies each operator's ``math`` function after
+  its domain check, and raises :class:`DomainFault` carrying the path of the
+  offending subexpression.
+* :func:`evaluate_many` - numpy row-batch evaluation with each operator's
+  ufunc; faulting rows are reported in a boolean mask instead of raising. A
+  row faults if any node in the tree produces a non-finite value for it.
 
 ``evaluate_many`` is one iterative postorder walk: an explicit stack lists the
 nodes, and a loop over them keeps an operand stack, so tree depth is bounded
@@ -27,23 +29,7 @@ import math
 
 import numpy as np
 
-from .nodes import Expression
-
-_UFUNCS = {
-    "add": np.add,
-    "mul": np.multiply,
-    "pow": np.power,
-    "div": np.divide,
-    "neg": np.negative,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "exp": np.exp,
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "tanh": np.tanh,
-    "abs": np.abs,
-}
+from .nodes import OPERATORS, Expression
 
 
 class VariableIndexError(ValueError):
@@ -72,49 +58,11 @@ def _eval(expr: Expression, row, path) -> float:
         return float(row[expr.index])
 
     args = [_eval(c, row, path + (i,)) for i, c in enumerate(expr.children)]
-    op = expr.op
+    spec = OPERATORS[expr.op]
+    if spec.fault is not None and spec.fault(*args):
+        raise DomainFault(spec.fault_message, path)
     try:
-        if op == "add":
-            out = 0.0
-            for a in args:
-                out += a
-        elif op == "mul":
-            out = 1.0
-            for a in args:
-                out *= a
-        elif op == "pow":
-            base, exponent = args
-            if base == 0.0 and exponent < 0.0:
-                raise DomainFault("zero raised to a negative power", path)
-            out = math.pow(base, exponent)
-        elif op == "div":
-            if args[1] == 0.0:
-                raise DomainFault("division by zero", path)
-            out = args[0] / args[1]
-        elif op == "neg":
-            out = -args[0]
-        elif op == "log":
-            if args[0] <= 0.0:
-                raise DomainFault("log of a non-positive value", path)
-            out = math.log(args[0])
-        elif op == "sqrt":
-            if args[0] < 0.0:
-                raise DomainFault("sqrt of a negative value", path)
-            out = math.sqrt(args[0])
-        elif op == "exp":
-            out = math.exp(args[0])
-        elif op == "sin":
-            out = math.sin(args[0])
-        elif op == "cos":
-            out = math.cos(args[0])
-        elif op == "tan":
-            out = math.tan(args[0])
-        elif op == "tanh":
-            out = math.tanh(args[0])
-        elif op == "abs":
-            out = abs(args[0])
-        else:  # pragma: no cover - nodes.py rejects unknown operators
-            raise AssertionError(op)
+        out = spec.scalar(*args)
     except OverflowError:
         raise DomainFault("overflow", path) from None
     except ValueError:
@@ -175,7 +123,7 @@ def evaluate_many(expr: Expression, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
                 out = args[1]
             else:
                 out = np.empty(n)
-            ufunc = _UFUNCS[node.op]
+            ufunc = OPERATORS[node.op].ufunc
             if k == 1:
                 ufunc(args[0], out=out)
             else:

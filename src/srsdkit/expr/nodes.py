@@ -3,26 +3,65 @@
 Trees are immutable. ``add`` and ``mul`` are n-ary, ``pow`` is binary, the
 function operators are unary. ``div``, ``neg`` and ``sqrt`` may appear in raw
 (parsed or evolved) trees but are rewritten away by canonicalization.
+
+Every fact about an operator lives in one table, :data:`OPERATORS`: its
+arity, whether canonical trees may hold it, its scalar ``math`` function with
+the domain check that guards it, and its numpy ufunc. The node constructor,
+``compare``, both evaluators, the parser, the preorder decoder and the GP
+read it. The table's order is the canonical rank: commutative operands are
+sorted by it, so reordering the entries changes canonical forms, skeletons
+and every edit distance computed from them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
 
 
-# Operators allowed in canonical trees, in canonical rank order. The order is
-# load-bearing: commutative operands are sorted by it.
-CANONICAL_OPERATORS = ("add", "mul", "pow", "sin", "cos", "tan", "tanh", "exp", "log", "abs")
+@dataclass(frozen=True)
+class Operator:
+    """One operator. ``arity`` is None for n-ary operators (at least two
+    operands). ``canonical`` operators may appear in canonical trees and in
+    preorder token files. ``fault`` is true of arguments outside the domain
+    of ``scalar``, which then raises ``DomainFault(fault_message)``."""
 
-# Rewritten away by canonicalization; legal only in raw trees.
-INTERNAL_OPERATORS = ("div", "neg", "sqrt")
+    name: str
+    arity: int | None
+    canonical: bool
+    scalar: Callable[..., float]
+    ufunc: np.ufunc
+    fault: Callable[..., bool] | None = None
+    fault_message: str = ""
 
-ALL_OPERATORS = CANONICAL_OPERATORS + INTERNAL_OPERATORS
 
-UNARY_OPERATORS = ("sin", "cos", "tan", "tanh", "exp", "log", "abs", "sqrt", "neg")
+# In canonical rank order; see the module docstring.
+OPERATORS: dict[str, Operator] = {op.name: op for op in (
+    # n-ary folds start from 0.0 and 1.0, not from the first operand, so that
+    # 0.0 + (-0.0) stays 0.0: the sign of a folded zero shows in its repr.
+    Operator("add", None, True, lambda *args: functools.reduce(operator.add, args, 0.0), np.add),
+    Operator("mul", None, True, lambda *args: functools.reduce(operator.mul, args, 1.0), np.multiply),
+    Operator("pow", 2, True, math.pow, np.power,
+             lambda base, exponent: base == 0.0 and exponent < 0.0,
+             "zero raised to a negative power"),
+    Operator("sin", 1, True, math.sin, np.sin),
+    Operator("cos", 1, True, math.cos, np.cos),
+    Operator("tan", 1, True, math.tan, np.tan),
+    Operator("tanh", 1, True, math.tanh, np.tanh),
+    Operator("exp", 1, True, math.exp, np.exp),
+    Operator("log", 1, True, math.log, np.log, lambda a: a <= 0.0, "log of a non-positive value"),
+    Operator("abs", 1, True, abs, np.abs),
+    Operator("div", 2, False, operator.truediv, np.divide, lambda a, b: b == 0.0, "division by zero"),
+    Operator("neg", 1, False, operator.neg, np.negative),
+    Operator("sqrt", 1, False, math.sqrt, np.sqrt, lambda a: a < 0.0, "sqrt of a negative value"),
+)}
 
-_OP_RANK = {name: i for i, name in enumerate(ALL_OPERATORS)}
+_OP_RANK = {name: i for i, name in enumerate(OPERATORS)}
 
 # Relative tolerance for treating two stored constants as the same value
 # (absorbs decimal-literal round-trip noise).
@@ -53,15 +92,16 @@ class Expression:
         if kinds != 1:
             raise ExpressionError("node must be exactly one of operator/constant/variable")
         if self.op is not None:
-            if self.op not in ALL_OPERATORS:
+            spec = OPERATORS.get(self.op)
+            if spec is None:
                 raise ExpressionError(f"unknown operator {self.op!r}")
             n = len(self.children)
-            if self.op in UNARY_OPERATORS and n != 1:
-                raise ExpressionError(f"{self.op} takes 1 argument, got {n}")
-            if self.op in ("pow", "div") and n != 2:
-                raise ExpressionError(f"{self.op} takes 2 arguments, got {n}")
-            if self.op in ("add", "mul") and n < 2:
-                raise ExpressionError(f"{self.op} needs at least 2 operands, got {n}")
+            if spec.arity is None:
+                if n < 2:
+                    raise ExpressionError(f"{self.op} needs at least 2 operands, got {n}")
+            elif n != spec.arity:
+                plural = "" if spec.arity == 1 else "s"
+                raise ExpressionError(f"{self.op} takes {spec.arity} argument{plural}, got {n}")
         elif self.value is not None:
             if not math.isfinite(self.value):
                 raise ExpressionError(f"non-finite constant {self.value!r}")

@@ -1,9 +1,10 @@
 """Infix formula parser.
 
 Grammar: decimal/scientific literals, named variables, ``+ - * / ^``, unary
-minus, parentheses, the function calls sin cos tan tanh exp log sqrt abs, and
-``pi`` as a literal constant. Named physical constants can be bound via the
-``constants`` mapping; they are folded into constant nodes at parse time.
+minus, parentheses, calls of every unary operator in the operator table
+except ``neg`` (which is written as unary minus), and ``pi`` as a literal
+constant. Named physical constants can be bound via the ``constants``
+mapping; they are folded into constant nodes at parse time.
 
 ``^`` binds tightest and is right-associative; unary minus binds looser than
 ``^`` (so ``-x^2`` is ``-(x^2)``) but tighter than ``*``.
@@ -15,9 +16,7 @@ import math
 import re
 from typing import Mapping, Sequence
 
-from .nodes import Expression, const, var, op_node
-
-FUNCTIONS = ("sin", "cos", "tan", "tanh", "exp", "log", "sqrt", "abs")
+from .nodes import OPERATORS, Expression, const, var, op_node
 
 _TOKEN_RE = re.compile(
     r"""
@@ -118,7 +117,8 @@ class _Parser:
         if kind == "number":
             return const(float(text))
         if kind == "name":
-            if text in FUNCTIONS:
+            spec = OPERATORS.get(text)
+            if spec is not None and spec.arity == 1 and text != "neg":
                 self.expect("(")
                 arg = self.additive()
                 tok = self.peek()

@@ -6,18 +6,25 @@ carry a display index (C1, C2, ... in preorder encounter order) that is
 cosmetic only: all ``C`` nodes share the label ``"C"``.
 
 Preorder token text format (whitespace separated, one expression per line):
-``add``/``mul`` carry an explicit arity suffix (``add3``, ``mul2``) so that
-sequences decode unambiguously by arity counting; all other operators have
-fixed arity. Constants serialize as ``C`` in skeletons, or as a decimal
-literal when a valued expression is written.
+n-ary operators (``add``/``mul``) carry an explicit arity suffix (``add3``,
+``mul2``) so that sequences decode unambiguously by arity counting; all other
+canonical operators have the fixed arity the operator table gives them.
+Constants serialize as ``C`` in skeletons, or as a decimal literal when a
+valued expression is written.
+
+Every token sequence is decoded by one loop, :func:`decode_preorder`, which
+keeps the open operators on an explicit stack, so nesting depth is bounded
+by memory rather than by Python's recursion limit. Its callers differ only
+in how they build leaves and operator nodes.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 
-from .nodes import CANONICAL_OPERATORS, Expression, UNARY_OPERATORS, const, op_node, var
+from .nodes import OPERATORS, Expression, const, op_node, var
 
 
 class DecodeError(ValueError):
@@ -80,38 +87,42 @@ def constant_values(expr: Expression) -> list[float]:
 # ---------------------------------------------------------------------------
 
 _VAR_TOKEN = re.compile(r"^X([1-9][0-9]*)$")
-_NARY_TOKEN = re.compile(r"^(add|mul)([0-9]+)$")
+_NARY_TOKEN = re.compile(
+    "^({})([0-9]+)$".format("|".join(name for name, op in OPERATORS.items() if op.arity is None))
+)
 _NUMBER_TOKEN = re.compile(r"^[-+]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
-_FIXED_ARITY = {"pow": 2}
-_FIXED_ARITY.update({name: 1 for name in UNARY_OPERATORS if name in CANONICAL_OPERATORS})
+
+def _operator_token(op: str, n_children: int) -> str:
+    """An n-ary operator's token carries its operand count (``add3``)."""
+    return f"{op}{n_children}" if OPERATORS[op].arity is None else op
 
 
 def to_preorder(tree: SkeletonTree) -> list[str]:
     out: list[str] = []
-
-    def walk(node: SkeletonTree):
-        if node.label in ("add", "mul"):
-            out.append(f"{node.label}{len(node.children)}")
-        else:
-            out.append(node.label)
-        for c in node.children:
-            walk(c)
-
-    walk(tree)
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        out.append(_operator_token(node.label, len(node.children)) if node.children else node.label)
+        todo.extend(reversed(node.children))
     return out
 
 
 def _token_arity(token: str, position: int) -> tuple[str, int]:
-    """Resolve a token to (label, arity); raises DecodeError on bad tokens."""
+    """Resolve a token to (label, arity); raises DecodeError on bad tokens.
+
+    Only canonical operators decode: ``div``, ``neg`` and ``sqrt`` are
+    unknown tokens.
+    """
     m = _NARY_TOKEN.match(token)
     if m:
         arity = int(m.group(2))
         if arity < 2:
             raise DecodeError(f"{token!r} at token {position}: arity must be >= 2")
         return m.group(1), arity
-    if token in _FIXED_ARITY:
-        return token, _FIXED_ARITY[token]
+    spec = OPERATORS.get(token)
+    if spec is not None and spec.canonical and spec.arity is not None:
+        return token, spec.arity
     if token == "C" or _VAR_TOKEN.match(token) or _NUMBER_TOKEN.match(token):
         return token, 0
     raise DecodeError(f"unknown token {token!r} at token {position}")
@@ -122,34 +133,57 @@ def token_arity(token: str) -> int:
     return _token_arity(token, 0)[1]
 
 
+def variable_index(token: str) -> int | None:
+    """Zero-based column index of a variable token ``X<k>``; None otherwise."""
+    m = _VAR_TOKEN.match(token)
+    return int(m.group(1)) - 1 if m else None
+
+
+def decode_preorder(tokens: list[str], leaf, node):
+    """Decode a preorder token sequence into exactly one tree.
+
+    ``leaf(token, position)`` builds each leaf (``C``, ``X<k>`` or a numeric
+    literal), called in token order; ``node(label, *children)`` builds each
+    operator node once its last operand is built.
+    """
+    if not tokens:
+        raise DecodeError("empty token sequence")
+    open_ops: list[tuple[str, int, list]] = []  # label, arity, operands so far
+    for position, token in enumerate(tokens):
+        label, arity = _token_arity(token, position)
+        if arity:
+            open_ops.append((label, arity, []))
+            continue
+        done = leaf(token, position)
+        while open_ops:
+            label, arity, operands = open_ops[-1]
+            operands.append(done)
+            if len(operands) < arity:
+                break
+            open_ops.pop()
+            done = node(label, *operands)
+        else:  # no operator is open: the tree is complete
+            trailing = len(tokens) - position - 1
+            if trailing:
+                raise DecodeError(f"{trailing} trailing token(s) after a complete tree")
+            return done
+    raise DecodeError(f"truncated sequence: expected a token at {len(tokens)}")
+
+
 def from_preorder(tokens: list[str]) -> SkeletonTree:
     """Decode a preorder token sequence back into a skeleton tree.
 
     Numeric literal tokens are accepted and treated as C-nodes, so valued
     expression files can be read as skeletons directly.
     """
-    counter = [0]
-    pos = [0]
+    display_indices = itertools.count(1)
 
-    def walk() -> SkeletonTree:
-        if pos[0] >= len(tokens):
-            raise DecodeError(f"truncated sequence: expected a token at {pos[0]}")
-        token = tokens[pos[0]]
-        pos[0] += 1
-        label, arity = _token_arity(token, pos[0] - 1)
-        if arity == 0:
-            if label == "C" or _NUMBER_TOKEN.match(label):
-                counter[0] += 1
-                return SkeletonTree("C", display_index=counter[0])
-            return SkeletonTree(label)
-        return SkeletonTree(label, tuple(walk() for _ in range(arity)))
+    def leaf(token: str, position: int) -> SkeletonTree:
+        if variable_index(token) is None:
+            return SkeletonTree("C", display_index=next(display_indices))
+        return SkeletonTree(token)
 
-    if not tokens:
-        raise DecodeError("empty token sequence")
-    tree = walk()
-    if pos[0] != len(tokens):
-        raise DecodeError(f"{len(tokens) - pos[0]} trailing token(s) after a complete tree")
-    return tree
+    return decode_preorder(tokens, leaf, lambda label, *children: SkeletonTree(label, children))
 
 
 # ---------------------------------------------------------------------------
@@ -159,68 +193,28 @@ def from_preorder(tokens: list[str]) -> SkeletonTree:
 def expression_to_prefix(expr: Expression) -> list[str]:
     """Serialize a valued expression; constants become decimal literals."""
     out: list[str] = []
-
-    def walk(node: Expression):
+    todo = [expr]
+    while todo:
+        node = todo.pop()
         if node.is_constant:
             out.append(repr(float(node.value)))
         elif node.is_variable:
             out.append(f"X{node.index + 1}")
         else:
-            if node.op in ("add", "mul"):
-                out.append(f"{node.op}{len(node.children)}")
-            else:
-                out.append(node.op)
-            for c in node.children:
-                walk(c)
-
-    walk(expr)
+            out.append(_operator_token(node.op, len(node.children)))
+        todo.extend(reversed(node.children))
     return out
 
 
 def prefix_to_expression(tokens: list[str]) -> Expression:
     """Decode a valued prefix sequence; bare ``C`` tokens are rejected."""
-    pos = [0]
 
-    def walk() -> Expression:
-        if pos[0] >= len(tokens):
-            raise DecodeError(f"truncated sequence: expected a token at {pos[0]}")
-        token = tokens[pos[0]]
-        pos[0] += 1
+    def leaf(token: str, position: int) -> Expression:
+        index = variable_index(token)
+        if index is not None:
+            return var(index)
         if token == "C":
-            raise DecodeError(f"valueless constant token at {pos[0] - 1}; a numeric literal is required")
-        label, arity = _token_arity(token, pos[0] - 1)
-        if arity == 0:
-            m = _VAR_TOKEN.match(label)
-            if m:
-                return var(int(m.group(1)) - 1)
-            return const(float(label))
-        return op_node(label, *(walk() for _ in range(arity)))
+            raise DecodeError(f"valueless constant token at {position}; a numeric literal is required")
+        return const(float(token))
 
-    if not tokens:
-        raise DecodeError("empty token sequence")
-    tree = walk()
-    if pos[0] != len(tokens):
-        raise DecodeError(f"{len(tokens) - pos[0]} trailing token(s) after a complete tree")
-    return tree
-
-
-def skeleton_with_constants(tree: SkeletonTree, values: list[float]) -> Expression:
-    """Rebuild a valued expression from a skeleton and its constant table."""
-    used = [0]
-
-    def walk(node: SkeletonTree) -> Expression:
-        if node.label == "C":
-            if used[0] >= len(values):
-                raise DecodeError("constant table shorter than the number of C nodes")
-            value = values[used[0]]
-            used[0] += 1
-            return const(value)
-        m = _VAR_TOKEN.match(node.label)
-        if m:
-            return var(int(m.group(1)) - 1)
-        return op_node(node.label, *(walk(c) for c in node.children))
-
-    expr = walk(tree)
-    if used[0] != len(values):
-        raise DecodeError("constant table longer than the number of C nodes")
-    return expr
+    return decode_preorder(tokens, leaf, op_node)

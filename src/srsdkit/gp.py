@@ -23,10 +23,8 @@ from dataclasses import dataclass, field
 
 from .datagen import Dataset
 from .evalkit import relative_error_score
-from .expr import Expression, const, op_node, var
+from .expr import OPERATORS, Expression, const, op_node, var
 
-_BINARY = {"add", "mul", "div", "pow"}
-_UNARY = {"sin", "cos", "tan", "tanh", "exp", "log", "sqrt", "abs", "neg"}
 DEFAULT_OPERATORS = ("add", "sub", "mul", "div", "sin", "cos", "exp", "log")
 
 
@@ -58,7 +56,7 @@ class GPConfig:
         if not self.operators:
             raise ValueError("operator set must be nonempty")
         for op in self.operators:
-            if op != "sub" and op not in _BINARY | _UNARY:
+            if op != "sub" and op not in OPERATORS:
                 raise ValueError(f"unknown operator {op!r}")
 
 
@@ -66,6 +64,11 @@ class GPConfig:
 class Individual:
     expr: Expression
     fitness: float = field(default=float("inf"))
+
+
+def _is_unary(op: str) -> bool:
+    """True for one-operand operators; ``sub`` and the rest build two operands."""
+    return op != "sub" and OPERATORS[op].arity == 1
 
 
 def allowed_node_operators(config: GPConfig) -> set[str]:
@@ -81,8 +84,8 @@ class _TreeFactory:
         self.config = config
         self.n_vars = n_vars
         self.rng = rng
-        self.binary = [op for op in config.operators if op in _BINARY or op == "sub"]
-        self.unary = [op for op in config.operators if op in _UNARY]
+        self.binary = [op for op in config.operators if not _is_unary(op)]
+        self.unary = [op for op in config.operators if _is_unary(op)]
 
     def terminal(self) -> Expression:
         if self.config.const_range is not None and self.rng.random() < 0.3:
@@ -93,7 +96,7 @@ class _TreeFactory:
     def _operator_node(self, op: str, build) -> Expression:
         if op == "sub":
             return op_node("add", build(), op_node("neg", build()))
-        if op in _BINARY:
+        if not _is_unary(op):
             return op_node(op, build(), build())
         return op_node(op, build())
 
@@ -155,7 +158,7 @@ def _point_mutation(a: Expression, factory: _TreeFactory, rng: random.Random, ra
             return var(rng.randrange(factory.n_vars))
         candidates = [
             op for op in factory.binary + factory.unary
-            if op != "sub" and (op in _BINARY) == (node.op in _BINARY) and op != node.op
+            if op != "sub" and _is_unary(op) == _is_unary(node.op) and op != node.op
         ]
         if not candidates:
             return Expression(op=node.op, children=children)

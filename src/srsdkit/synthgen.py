@@ -32,12 +32,13 @@ from .expr import (
     Expression,
     canonicalize,
     const,
-    from_preorder,
+    decode_preorder,
     op_node,
     to_infix,
     to_preorder,
     token_arity,
     var,
+    variable_index,
 )
 from .expr.skeleton import SkeletonTree
 from .treedist import normalized_edit_distance
@@ -114,21 +115,16 @@ def _sample_tokens(model: BigramModel, max_tokens: int, rng: np.random.Generator
 def _tokens_to_expression(tokens: list[str], rng: np.random.Generator) -> Expression:
     """Instantiate a sampled skeleton: dense variable indices by first
     occurrence, constants drawn log-uniformly over ±10^[-3, 3]."""
-    tree = from_preorder(tokens)
     remap: dict[str, int] = {}
 
-    def walk(node) -> Expression:
-        if node.label == "C":
-            magnitude = 10.0 ** rng.uniform(-3.0, 3.0)
-            sign = 1.0 if rng.integers(0, 2) == 1 else -1.0
-            return const(sign * magnitude)
-        if node.label.startswith("X"):
-            if node.label not in remap:
-                remap[node.label] = len(remap)
-            return var(remap[node.label])
-        return op_node(node.label, *(walk(c) for c in node.children))
+    def leaf(token: str, position: int) -> Expression:
+        if variable_index(token) is not None:
+            return var(remap.setdefault(token, len(remap)))
+        magnitude = 10.0 ** rng.uniform(-3.0, 3.0)
+        sign = 1.0 if rng.integers(0, 2) == 1 else -1.0
+        return const(sign * magnitude)
 
-    return walk(tree)
+    return decode_preorder(tokens, leaf, op_node)
 
 
 def sample_equation(model: BigramModel, max_tokens: int, seed, max_retries: int = 50) -> Expression:

@@ -17,14 +17,9 @@ ordered-tree distance would charge for operand permutations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from .expr.skeleton import SkeletonTree
-
-
-def _labels_match(a: str, b: str) -> bool:
-    return a == b
 
 
 @dataclass(frozen=True)
@@ -34,10 +29,9 @@ class EditCostModel:
     insert_cost: float = 1.0
     delete_cost: float = 1.0
     mismatch_cost: float = 1.0
-    labels_match: Callable[[str, str], bool] = field(default=_labels_match)
 
     def rename(self, a: str, b: str) -> float:
-        return 0.0 if self.labels_match(a, b) else self.mismatch_cost
+        return 0.0 if a == b else self.mismatch_cost
 
 
 UNIT_COSTS = EditCostModel()

@@ -127,6 +127,24 @@ def test_eval_prediction_with_missing_variable_is_data_error(tmp_path, easy_data
     assert "I.12.1" in err and "X9" in err
 
 
+def test_deeply_nested_expression_is_data_error(tmp_path, easy_data, capsys):
+    deep = "sin " * 3000 + "X1\n"
+    pred = tmp_path / "deep.txt"
+    pred.write_text(deep)
+    truth = tmp_path / "x1.txt"
+    truth.write_text("X1\n")
+    code, _, err = run(capsys, "ned", "--pred", str(pred), "--truth", str(truth))
+    assert code == 2
+    assert "nested too deeply" in err
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    (preds / "I.12.1.txt").write_text(deep)
+    code, _, err = run(capsys, "eval", "--pred-dir", str(preds),
+                       "--data-dir", str(easy_data))
+    assert code == 2
+    assert "nested too deeply" in err
+
+
 def test_complexity_rows_and_csv(tmp_path, capsys):
     csv_path = tmp_path / "scatter.csv"
     code, out, _ = run(capsys, "complexity", "--out", str(csv_path))

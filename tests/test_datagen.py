@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -177,6 +179,24 @@ def test_true_equation_round_trip(tmp_path):
     assert to_preorder(skeleton) == to_preorder(spec.skeleton)
     assert expr == spec.canonical_expression
     assert len(consts) == 2
+
+
+# sha256 of the JSON object {id: write_true_equation text} over the 120
+# builtin problems. It pins the operator rank order, the scalar constant
+# folding and the preorder token format together.
+BUILTIN_TRUE_EQUATIONS_SHA256 = "97e112010ad41c85c7d3b34ec515229ad97f6db6eccd6f6f51139d72b6bd7faf"
+
+
+def test_builtin_true_equations_are_pinned(tmp_path):
+    texts = {}
+    for spec in builtin_problems():
+        path = tmp_path / f"{spec.id}.txt"
+        write_true_equation(spec, path)
+        texts[spec.id] = path.read_text(encoding="utf-8")
+        assert read_true_equation(path)[2] == spec.canonical_expression, spec.id
+    assert len(texts) == 120
+    digest = hashlib.sha256(json.dumps(texts, sort_keys=True).encode("utf-8")).hexdigest()
+    assert digest == BUILTIN_TRUE_EQUATIONS_SHA256
 
 
 def test_problem_dir_layout(tmp_path):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from srsdkit.datagen import read_true_equation
 from srsdkit.expr import (
     DecodeError,
     canonicalize,
@@ -12,7 +13,6 @@ from srsdkit.expr import (
     from_preorder,
     parse,
     prefix_to_expression,
-    skeleton_with_constants,
     skeletonize,
     to_preorder,
 )
@@ -87,6 +87,12 @@ def test_decode_errors():
         from_preorder(["add1", "X1"])  # bad arity
     with pytest.raises(DecodeError):
         from_preorder(["frob"])
+    # Only canonical operators decode, and variables count from X1.
+    for tokens in (["div", "X1", "X2"], ["neg", "X1"], ["sqrt", "X1"], ["X0"], ["add2", "X1"]):
+        with pytest.raises(DecodeError):
+            from_preorder(tokens)
+        with pytest.raises(DecodeError):
+            prefix_to_expression(tokens)
 
 
 def test_numeric_tokens_decode_as_constants():
@@ -114,12 +120,24 @@ def test_valued_prefix_rejects_bare_c():
         prefix_to_expression(["mul2", "C", "X1"])
 
 
-def test_skeleton_with_constants_rebuilds_expression():
+def test_constant_table_rebuilds_expression(tmp_path):
     e = canonicalize(parse("2.5 * x1 / x2^1.5", ["x1", "x2"]))
-    s = skeletonize(e)
+    tokens = to_preorder(skeletonize(e))
     values = constant_values(e)
-    assert skeleton_with_constants(s, values) == e
-    with pytest.raises(DecodeError):
-        skeleton_with_constants(s, values + [1.0])
-    with pytest.raises(DecodeError):
-        skeleton_with_constants(s, values[:-1])
+    path = tmp_path / "true_eq.txt"
+
+    def rebuild(table):
+        path.write_text(" ".join(tokens) + "\n" + " ".join(map(repr, table)) + "\n")
+        return read_true_equation(path)[2]
+
+    assert rebuild(values) == e
+    with pytest.raises(DecodeError, match="longer"):
+        rebuild(values + [1.0])
+    with pytest.raises(DecodeError, match="shorter"):
+        rebuild(values[:-1])
+
+
+def test_deep_chain_decodes_without_recursion():
+    tokens = ["sin"] * 3000 + ["X1"]
+    assert to_preorder(from_preorder(tokens)) == tokens
+    assert expression_to_prefix(prefix_to_expression(tokens)) == tokens
