@@ -17,7 +17,7 @@ from .expr import (
     skeletonize,
     to_infix,
 )
-from .treedist import EditCostModel, distance_result, edit_distance, normalized_edit_distance
+from .treedist import distance_result, edit_distance, normalized_edit_distance
 from .catalog import ProblemSpec, builtin_problems, load_builtin, load_file
 from .datagen import Dataset, derive_seed, inject_noise, sample, split
 from .evalkit import (
@@ -35,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset",
-    "EditCostModel",
     "EvalReport",
     "Expression",
     "GPConfig",

@@ -341,10 +341,7 @@ def _leakage_items(root: Path) -> list[synthgen.LeakageItem]:
                 chunks.append(datagen.read(path, problem_id=pdir.name).values)
         if not chunks:
             raise datagen.DataError(f"{pdir}: no dataset files")
-        values = np.concatenate(chunks, axis=0)
-        ranges = tuple(
-            (float(col.min()), float(col.max())) for col in values[:, :-1].T
-        )
+        ranges = synthgen.observed_ranges(np.concatenate(chunks, axis=0)[:, :-1])
         items.append(synthgen.LeakageItem(id=pdir.name, skeleton=skeleton, ranges=ranges))
     return items
 

@@ -11,10 +11,10 @@ Each generated equation receives sampling ranges by drawing an integer k per
 variable independently and sampling that variable log-uniformly from
 [10^(k-1), 10^(k+1)].
 
-The leakage checker compares a synthetic corpus against benchmark problems:
-normalized edit distance between true skeletons first, and only for
-skeleton-identical pairs the per-variable interval IoU of the observed
-sample ranges. Benchmark sets can contain skeleton-duplicate problems with
+The leakage checker compares a synthetic corpus against benchmark problems.
+Skeletons match when their preorder tokens are equal (NED = 0); only for
+matching pairs is the per-variable interval IoU of the observed sample
+ranges computed. Benchmark sets can contain skeleton-duplicate problems with
 different ranges, so the per-equation figure is the worst case (max) over
 matching pairs; the mean over pairs is also reported.
 """
@@ -41,7 +41,6 @@ from .expr import (
     variable_index,
 )
 from .expr.skeleton import SkeletonTree
-from .treedist import normalized_edit_distance
 
 START = "<s>"
 
@@ -204,6 +203,11 @@ def domain_iou(range_a: tuple[float, float], range_b: tuple[float, float]) -> fl
     return min(1.0, max(0.0, intersection / union))
 
 
+def observed_ranges(X: np.ndarray) -> tuple[tuple[float, float], ...]:
+    """Per-column (min, max) of an input matrix."""
+    return tuple((float(col.min()), float(col.max())) for col in X.T)
+
+
 @dataclass(frozen=True)
 class LeakageItem:
     """One side of a leakage comparison: a skeleton plus observed ranges."""
@@ -214,16 +218,17 @@ class LeakageItem:
 
     @classmethod
     def from_dataset(cls, spec: ProblemSpec, ds: Dataset) -> "LeakageItem":
-        return cls(id=spec.id, skeleton=spec.skeleton, ranges=tuple(_observed_ranges(ds)))
+        return cls(id=spec.id, skeleton=spec.skeleton, ranges=observed_ranges(ds.X))
 
 
 @dataclass(frozen=True)
 class LeakagePair:
+    """A skeleton-identical (target, synthetic) pair and its range IoUs."""
+
     target_id: str
     synth_id: str
-    ned: float
-    iou_per_variable: tuple[float, ...] | None  # None unless ned == 0
-    iou: float | None
+    iou_per_variable: tuple[float, ...]
+    iou: float
 
 
 @dataclass(frozen=True)
@@ -236,14 +241,10 @@ class EquationLeakage:
 
 @dataclass(frozen=True)
 class LeakageResult:
-    pairs: list[LeakagePair]
+    pairs: list[LeakagePair]  # skeleton-identical pairs only, in target then corpus order
     per_equation: list[EquationLeakage]
     mean_iou: float           # mean over targets of the worst-case (max) pair IoU
     mean_of_mean_iou: float   # mean over targets of the mean pair IoU
-
-
-def _observed_ranges(ds: Dataset) -> list[tuple[float, float]]:
-    return [(float(col.min()), float(col.max())) for col in ds.X.T]
 
 
 def leakage_report(
@@ -252,30 +253,19 @@ def leakage_report(
 ) -> LeakageResult:
     if not corpus or not targets:
         raise ValueError("leakage check needs a nonempty corpus and target list")
-    ned_cache: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = {}
+    # Skeletons match (NED = 0) exactly when their preorder tokens are equal.
+    by_skeleton: dict[tuple[str, ...], list[LeakageItem]] = {}
+    for synth in corpus:
+        by_skeleton.setdefault(tuple(to_preorder(synth.skeleton)), []).append(synth)
     pairs: list[LeakagePair] = []
     per_equation: list[EquationLeakage] = []
     for target in targets:
-        target_tokens = tuple(to_preorder(target.skeleton))
         match_ious: list[float] = []
-        for synth in corpus:
-            synth_tokens = tuple(to_preorder(synth.skeleton))
-            key = (synth_tokens, target_tokens)
-            if key not in ned_cache:
-                if synth_tokens == target_tokens:
-                    ned_cache[key] = 0.0
-                else:
-                    ned_cache[key] = normalized_edit_distance(synth.skeleton, target.skeleton)
-            ned = ned_cache[key]
-            if ned == 0.0:
-                ious = tuple(
-                    domain_iou(a, b) for a, b in zip(synth.ranges, target.ranges)
-                )
-                pair_iou = sum(ious) / len(ious) if ious else 0.0
-                match_ious.append(pair_iou)
-                pairs.append(LeakagePair(target.id, synth.id, ned, ious, pair_iou))
-            else:
-                pairs.append(LeakagePair(target.id, synth.id, ned, None, None))
+        for synth in by_skeleton.get(tuple(to_preorder(target.skeleton)), ()):
+            ious = tuple(domain_iou(a, b) for a, b in zip(synth.ranges, target.ranges))
+            pair_iou = sum(ious) / len(ious) if ious else 0.0
+            match_ious.append(pair_iou)
+            pairs.append(LeakagePair(target.id, synth.id, ious, pair_iou))
         per_equation.append(
             EquationLeakage(
                 target_id=target.id,

@@ -1,10 +1,11 @@
 """Ordered-tree edit distance (Zhang-Shasha) and its normalized form.
 
 The distance is the minimum total cost of node insertions, deletions and
-renames transforming one ordered labeled tree into the other. Under the
-default unit-cost model a rename is free exactly when the labels match, where
-every constant node (label ``C``) matches every other constant node
-regardless of its display index, while ``X1`` matches only ``X1`` and so on.
+renames transforming one ordered labeled tree into the other, under unit
+costs: every edit costs 1, except that a rename is free exactly when the
+labels match, where every constant node (label ``C``) matches every other
+constant node regardless of its display index, while ``X1`` matches only
+``X1`` and so on.
 
 The normalized distance divides by the node count of the *truth* tree and is
 capped at 1; the normalization is deliberately asymmetric, including when the
@@ -20,21 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr.skeleton import SkeletonTree
-
-
-@dataclass(frozen=True)
-class EditCostModel:
-    """Unit costs by default; rename is 0 for matching labels, 1 otherwise."""
-
-    insert_cost: float = 1.0
-    delete_cost: float = 1.0
-    mismatch_cost: float = 1.0
-
-    def rename(self, a: str, b: str) -> float:
-        return 0.0 if a == b else self.mismatch_cost
-
-
-UNIT_COSTS = EditCostModel()
 
 
 @dataclass(frozen=True)
@@ -73,7 +59,7 @@ def _keyroots(leftmost: list[int]) -> list[int]:
     return sorted(seen.values())
 
 
-def edit_distance(a: SkeletonTree, b: SkeletonTree, costs: EditCostModel = UNIT_COSTS) -> float:
+def edit_distance(a: SkeletonTree, b: SkeletonTree) -> float:
     """Exact minimum-cost edit distance between two non-empty ordered trees."""
     la, lma = _postorder(a)
     lb, lmb = _postorder(b)
@@ -81,7 +67,6 @@ def edit_distance(a: SkeletonTree, b: SkeletonTree, costs: EditCostModel = UNIT_
     kra, krb = _keyroots(lma), _keyroots(lmb)
 
     dist = [[0.0] * m for _ in range(n)]
-    ins, dele = costs.insert_cost, costs.delete_cost
 
     for i in kra:
         for j in krb:
@@ -90,30 +75,30 @@ def edit_distance(a: SkeletonTree, b: SkeletonTree, costs: EditCostModel = UNIT_
             rows, cols = i - ioff + 2, j - joff + 2
             fd = [[0.0] * cols for _ in range(rows)]
             for x in range(1, rows):
-                fd[x][0] = fd[x - 1][0] + dele
+                fd[x][0] = fd[x - 1][0] + 1.0
             for y in range(1, cols):
-                fd[0][y] = fd[0][y - 1] + ins
+                fd[0][y] = fd[0][y - 1] + 1.0
             for x in range(1, rows):
                 for y in range(1, cols):
                     ni, nj = ioff + x - 1, joff + y - 1
                     if lma[ni] == ioff and lmb[nj] == joff:
                         fd[x][y] = min(
-                            fd[x - 1][y] + dele,
-                            fd[x][y - 1] + ins,
-                            fd[x - 1][y - 1] + costs.rename(la[ni], lb[nj]),
+                            fd[x - 1][y] + 1.0,
+                            fd[x][y - 1] + 1.0,
+                            fd[x - 1][y - 1] + (0.0 if la[ni] == lb[nj] else 1.0),
                         )
                         dist[ni][nj] = fd[x][y]
                     else:
                         fd[x][y] = min(
-                            fd[x - 1][y] + dele,
-                            fd[x][y - 1] + ins,
+                            fd[x - 1][y] + 1.0,
+                            fd[x][y - 1] + 1.0,
                             fd[lma[ni] - ioff][lmb[nj] - joff] + dist[ni][nj],
                         )
     return dist[n - 1][m - 1]
 
 
-def distance_result(pred: SkeletonTree, truth: SkeletonTree, costs: EditCostModel = UNIT_COSTS) -> DistanceResult:
-    raw = edit_distance(pred, truth, costs)
+def distance_result(pred: SkeletonTree, truth: SkeletonTree) -> DistanceResult:
+    raw = edit_distance(pred, truth)
     size = truth.node_count()
     return DistanceResult(raw=raw, truth_nodes=size, normalized=min(1.0, raw / size))
 

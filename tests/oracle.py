@@ -23,7 +23,6 @@ from functools import lru_cache
 import numpy as np
 
 from srsdkit.expr import Expression, SkeletonTree
-from srsdkit.treedist import EditCostModel, UNIT_COSTS
 
 
 def _number(root: SkeletonTree):
@@ -51,13 +50,22 @@ def _relation(n1, n2) -> str:
     return "desc" if n1[2] < n2[2] else "right"
 
 
-def brute_force_distance(a: SkeletonTree, b: SkeletonTree, costs: EditCostModel = UNIT_COSTS) -> float:
+# Unit costs, written out here rather than imported from the code under test.
+INSERT_COST = 1.0
+DELETE_COST = 1.0
+
+
+def rename_cost(a: str, b: str) -> float:
+    return 0.0 if a == b else 1.0
+
+
+def brute_force_distance(a: SkeletonTree, b: SkeletonTree) -> float:
     na, nb = _number(a), _number(b)
-    base = len(na) * costs.delete_cost + len(nb) * costs.insert_cost
+    base = len(na) * DELETE_COST + len(nb) * INSERT_COST
     best = [base]
     # Mapping node i of `a` to node j of `b` changes the cost by
     # rename(i, j) - delete - insert; precompute the best possible gain.
-    max_gain = costs.delete_cost + costs.insert_cost
+    max_gain = DELETE_COST + INSERT_COST
 
     def search(ai: int, pairs: list[tuple[int, int]], used_b: set[int], cost: float):
         remaining = len(na) - ai
@@ -71,7 +79,7 @@ def brute_force_distance(a: SkeletonTree, b: SkeletonTree, costs: EditCostModel 
                 continue
             if any(_relation(na[pi], na[ai]) != _relation(nb[pj], nb[bj]) for pi, pj in pairs):
                 continue
-            delta = costs.rename(na[ai][0], nb[bj][0]) - max_gain
+            delta = rename_cost(na[ai][0], nb[bj][0]) - max_gain
             pairs.append((ai, bj))
             used_b.add(bj)
             search(ai + 1, pairs, used_b, cost + delta)
@@ -83,7 +91,7 @@ def brute_force_distance(a: SkeletonTree, b: SkeletonTree, costs: EditCostModel 
     return best[0]
 
 
-def recursive_forest_distance(a: SkeletonTree, b: SkeletonTree, costs: EditCostModel = UNIT_COSTS) -> float:
+def recursive_forest_distance(a: SkeletonTree, b: SkeletonTree) -> float:
     @lru_cache(maxsize=None)
     def node_count(forest):
         return sum(1 + node_count(t.children) for t in forest)
@@ -93,16 +101,16 @@ def recursive_forest_distance(a: SkeletonTree, b: SkeletonTree, costs: EditCostM
         if not f1 and not f2:
             return 0.0
         if not f2:
-            return node_count(f1) * costs.delete_cost
+            return node_count(f1) * DELETE_COST
         if not f1:
-            return node_count(f2) * costs.insert_cost
+            return node_count(f2) * INSERT_COST
         v, w = f1[-1], f2[-1]
-        delete_root = fdist(f1[:-1] + v.children, f2) + costs.delete_cost
-        insert_root = fdist(f1, f2[:-1] + w.children) + costs.insert_cost
+        delete_root = fdist(f1[:-1] + v.children, f2) + DELETE_COST
+        insert_root = fdist(f1, f2[:-1] + w.children) + INSERT_COST
         match_roots = (
             fdist(v.children, w.children)
             + fdist(f1[:-1], f2[:-1])
-            + costs.rename(v.label, w.label)
+            + rename_cost(v.label, w.label)
         )
         return min(delete_root, insert_root, match_roots)
 

@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 
 import pytest
@@ -187,6 +188,28 @@ def test_leakcheck_synth_vs_catalog(tmp_path, easy_data, capsys):
     assert code == 0
     payload = json.loads(out)
     assert 0.0 <= payload["mean_iou"] <= 1.0
+
+
+# sha256 of the `leakcheck` stdout for two fixed inputs: many skeleton matches
+# (easy against itself) and a synthetic corpus against easy.
+LEAKCHECK_DIGESTS = {
+    "easy": "ea82ee1a14070dc2e2ae911e7e6e55aa1013efe4aeb696d9f12c947faffa4a22",
+    "synth": "ef7c42705baff3b83b709e84572241e7abd4fdb4622259896d3d0fc3f354c63b",
+}
+
+
+def test_leakcheck_output_is_pinned(tmp_path, easy_data, capsys):
+    corpus = tmp_path / "synth"
+    code, _, _ = run(capsys, "synth", "--n", "5", "--seed", "2", "--rows", "120",
+                     "--out", str(corpus))
+    assert code == 0
+    digests = {}
+    for name, root in (("easy", easy_data), ("synth", corpus)):
+        code, out, _ = run(capsys, "leakcheck", "--corpus", str(root),
+                           "--catalog", str(easy_data))
+        assert code == 0
+        digests[name] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digests == LEAKCHECK_DIGESTS
 
 
 def test_discover_and_eval_roundtrip(tmp_path, easy_data, capsys):

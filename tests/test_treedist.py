@@ -4,8 +4,6 @@ import pytest
 
 from srsdkit.expr import SkeletonTree, canonicalize, parse, skeletonize
 from srsdkit.treedist import (
-    EditCostModel,
-    UNIT_COSTS,
     distance_result,
     edit_distance,
     normalized_edit_distance,
@@ -124,12 +122,3 @@ def _same_up_to_c(a, b):
     if a.label != b.label or len(a.children) != len(b.children):
         return False
     return all(_same_up_to_c(x, y) for x, y in zip(a.children, b.children))
-
-
-def test_custom_cost_model_is_used():
-    heavy = EditCostModel(insert_cost=2.0, delete_cost=2.0)
-    a = skel("x1 * x2", ["x1", "x2"])
-    b = skel("3 * x1 * x2", ["x1", "x2"])
-    assert edit_distance(a, b, heavy) == 2.0
-    assert UNIT_COSTS.rename("C", "C") == 0.0
-    assert UNIT_COSTS.rename("add", "mul") == 1.0
