@@ -38,6 +38,7 @@ from .expr import (
     expression_to_prefix,
     from_preorder,
     prefix_to_expression,
+    skeletonize,
 )
 from .treedist import distance_result
 
@@ -196,8 +197,7 @@ def _load_prediction(pred_dir: Path, problem_id: str):
         return prefix_to_expression(_read_expression_line(flat).split())
     nested = pred_dir / problem_id / "true_eq.txt"
     if nested.is_file():
-        _, _, expr = datagen.read_true_equation(nested)
-        return expr
+        return datagen.read_true_equation(nested)
     return None
 
 
@@ -213,7 +213,7 @@ def cmd_eval(args) -> int:
         if pred is None:
             skipped.append(pid)
             continue
-        _, _, truth = datagen.read_true_equation(pdir / "true_eq.txt")
+        truth = datagen.read_true_equation(pdir / "true_eq.txt")
         test = datagen.read(pdir / "test.txt", problem_id=pid, split="test")
         val_path = pdir / "val.txt"
         validation = (
@@ -333,7 +333,7 @@ def cmd_synth(args) -> int:
 def _leakage_items(root: Path) -> list[synthgen.LeakageItem]:
     items = []
     for pdir in _problem_dirs(root):
-        skeleton, _, _ = datagen.read_true_equation(pdir / "true_eq.txt")
+        skeleton = skeletonize(datagen.read_true_equation(pdir / "true_eq.txt"))
         chunks = []
         for name in ("train.txt", "val.txt", "test.txt"):
             path = pdir / name
@@ -544,8 +544,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:
-        # The decoders are iterative; canonicalization, skeletons and edit
-        # distances still recurse once per tree level.
+        # Canonicalization, with the tree order and the constant folding it
+        # calls, still recurses once per tree level.
         print("error: expression is nested too deeply to process", file=sys.stderr)
         return 2
 

@@ -28,17 +28,15 @@ from .catalog import ProblemSpec
 from .expr import (
     DecodeError,
     Expression,
-    const,
     constant_values,
     decode_preorder,
     evaluate_many,
-    from_preorder,
     op_node,
     to_preorder,
     var,
     variable_index,
 )
-from .expr.skeleton import SkeletonTree
+from .expr.skeleton import constant_leaf
 
 DEFAULT_ROWS = 10_000
 DEFAULT_RATIOS = (0.8, 0.1, 0.1)
@@ -63,7 +61,6 @@ class Dataset:
     column_names: list[str]
     values: np.ndarray  # (n, k+1); last column is the target
     split: str = "all"
-    seed: int | None = None
     noise_level: float = 0.0
 
     @property
@@ -83,10 +80,6 @@ def derive_seed(master_seed: int, problem_id: str) -> np.random.SeedSequence:
     """Independent per-problem stream: parallel generation over problems can
     never change any problem's bytes."""
     return np.random.SeedSequence([int(master_seed), zlib.crc32(problem_id.encode("utf-8"))])
-
-
-def _rng_from(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
 
 
 def _draw_columns(spec: ProblemSpec, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +114,7 @@ def sample(spec: ProblemSpec, n: int, seed) -> Dataset:
     """Draw ``n`` fault-free rows and their targets from the spec."""
     if n < 1:
         raise DataError(f"row count must be >= 1, got {n}")
-    rng = _rng_from(seed)
+    rng = np.random.default_rng(seed)
     expr = spec.canonical_expression
     chunks: list[np.ndarray] = []
     accepted = 0
@@ -140,13 +133,11 @@ def sample(spec: ProblemSpec, n: int, seed) -> Dataset:
                 f"{spec.id}: rejection rate above 99% ({accepted}/{drawn} accepted)"
             )
     values = np.concatenate(chunks, axis=0)[:n]
-    seed_tag = seed if isinstance(seed, int) else None
     return Dataset(
         problem_id=spec.id,
         column_names=list(spec.column_names),
         values=values,
         split="all",
-        seed=seed_tag,
     )
 
 
@@ -184,7 +175,7 @@ def inject_noise(ds: Dataset, gamma: float, seed, mode: str = "mean") -> Dataset
             scale = gamma * np.sqrt(np.mean(values[:, -1] ** 2))
         else:
             raise DataError(f"unknown noise mode {mode!r}")
-        rng = _rng_from(seed)
+        rng = np.random.default_rng(seed)
         values[:, -1] = values[:, -1] + rng.normal(0.0, scale, values.shape[0])
     return replace(ds, values=values, noise_level=gamma)
 
@@ -243,28 +234,30 @@ def write_true_equation(spec: ProblemSpec, path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def read_true_equation(path) -> tuple[SkeletonTree, list[float], Expression]:
+def read_true_equation(path) -> Expression:
+    """The valued expression of a ``true_eq.txt``: its token line decoded
+    once, each ``C`` taking the next entry of the constant line."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise DataError(f"{path}: empty true-equation file")
-    tokens = lines[0].split()
-    consts = [float(tok) for tok in lines[1].split()] if len(lines) > 1 else []
-    tree = from_preorder(tokens)
-    values = iter(consts)
+    table = enumerate(lines[1].split() if len(lines) > 1 else [])
 
     def leaf(token: str, position: int) -> Expression:
         index = variable_index(token)
         if index is not None:
             return var(index)
-        value = next(values, None)
-        if value is None:
+        entry = next(table, None)
+        if entry is None:
             raise DecodeError("constant table shorter than the number of C nodes")
-        return const(value)
+        return constant_leaf(entry[1], f"entry {entry[0]} of the constant table")
 
-    expr = decode_preorder(tokens, leaf, op_node)
-    if next(values, None) is not None:
-        raise DecodeError("constant table longer than the number of C nodes")
-    return tree, consts, expr
+    try:
+        expr = decode_preorder(lines[0].split(), leaf, op_node)
+        if next(table, None) is not None:
+            raise DecodeError("constant table longer than the number of C nodes")
+    except DecodeError as err:
+        raise DecodeError(f"{path}: {err}") from None
+    return expr
 
 
 def write_problem_dir(

@@ -126,7 +126,7 @@ class Expression:
         return self.index is not None
 
     def node_count(self) -> int:
-        return 1 + sum(c.node_count() for c in self.children)
+        return sum(1 for _ in preorder(self))
 
     def depth(self) -> int:
         """Number of levels; a leaf has depth 1."""
@@ -136,12 +136,7 @@ class Expression:
 
     def variables(self) -> set[int]:
         """Set of variable indices occurring in the tree."""
-        if self.is_variable:
-            return {self.index}
-        out: set[int] = set()
-        for c in self.children:
-            out |= c.variables()
-        return out
+        return {node.index for node in preorder(self) if node.is_variable}
 
     def subtree(self, path: tuple[int, ...]) -> "Expression":
         node = self
@@ -155,6 +150,20 @@ class Expression:
         if self.is_variable:
             return f"var({self.index})"
         return f"{self.op}({', '.join(repr(c) for c in self.children)})"
+
+
+def preorder(tree):
+    """Yield the nodes of ``tree`` (an ``Expression`` or a ``SkeletonTree``):
+    the root first, then each child's subtree from left to right.
+
+    The walk keeps pending subtrees on an explicit stack, so nesting depth is
+    bounded by memory rather than by Python's recursion limit.
+    """
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(reversed(node.children))
 
 
 def const(value: float) -> Expression:

@@ -15,16 +15,18 @@ valued expression is written.
 Every token sequence is decoded by one loop, :func:`decode_preorder`, which
 keeps the open operators on an explicit stack, so nesting depth is bounded
 by memory rather than by Python's recursion limit. Its callers differ only
-in how they build leaves and operator nodes.
+in how they build leaves and operator nodes. Trees are read by one walk,
+:func:`~srsdkit.expr.nodes.preorder`, which is iterative too.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 
-from .nodes import OPERATORS, Expression, const, op_node, var
+from .nodes import OPERATORS, Expression, const, op_node, preorder, var
 
 
 class DecodeError(ValueError):
@@ -38,7 +40,7 @@ class SkeletonTree:
     display_index: int | None = None
 
     def node_count(self) -> int:
-        return 1 + sum(c.node_count() for c in self.children)
+        return sum(1 for _ in preorder(self))
 
     def __repr__(self):
         name = f"{self.label}{self.display_index}" if self.label == "C" else self.label
@@ -50,36 +52,21 @@ class SkeletonTree:
 def skeletonize(expr: Expression) -> SkeletonTree:
     """Collapse constants to C-nodes and variables to X-nodes.
 
-    The input is expected to be canonical; the structure is left untouched.
+    The input must be canonical: its preorder tokens, with every constant
+    written as ``C``, are decoded by :func:`from_preorder`, so a tree that
+    still holds ``div``, ``neg`` or ``sqrt`` raises ``DecodeError``.
     """
-    counter = [0]
-
-    def walk(node: Expression) -> SkeletonTree:
-        if node.is_constant:
-            counter[0] += 1
-            return SkeletonTree("C", display_index=counter[0])
-        if node.is_variable:
-            return SkeletonTree(f"X{node.index + 1}")
-        return SkeletonTree(node.op, tuple(walk(c) for c in node.children))
-
-    return walk(expr)
+    return from_preorder(_expression_tokens(expr, lambda value: "C"))
 
 
 def count_ops(expr: Expression) -> int:
     """Number of operator (internal) nodes."""
-    if not expr.is_operator:
-        return 0
-    return 1 + sum(count_ops(c) for c in expr.children)
+    return sum(1 for node in preorder(expr) if node.is_operator)
 
 
 def constant_values(expr: Expression) -> list[float]:
     """Constants of ``expr`` in preorder (the skeleton's display order)."""
-    if expr.is_constant:
-        return [expr.value]
-    out: list[float] = []
-    for c in expr.children:
-        out.extend(constant_values(c))
-    return out
+    return [node.value for node in preorder(expr) if node.is_constant]
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +86,10 @@ def _operator_token(op: str, n_children: int) -> str:
 
 
 def to_preorder(tree: SkeletonTree) -> list[str]:
-    out: list[str] = []
-    todo = [tree]
-    while todo:
-        node = todo.pop()
-        out.append(_operator_token(node.label, len(node.children)) if node.children else node.label)
-        todo.extend(reversed(node.children))
-    return out
+    return [
+        _operator_token(node.label, len(node.children)) if node.children else node.label
+        for node in preorder(tree)
+    ]
 
 
 def _token_arity(token: str, position: int) -> tuple[str, int]:
@@ -190,20 +174,27 @@ def from_preorder(tokens: list[str]) -> SkeletonTree:
 # Valued expressions in the same token format
 # ---------------------------------------------------------------------------
 
+def _expression_tokens(expr: Expression, constant) -> list[str]:
+    """Preorder tokens of ``expr``; ``constant(value)`` writes each constant."""
+    return [
+        constant(node.value) if node.is_constant
+        else f"X{node.index + 1}" if node.is_variable
+        else _operator_token(node.op, len(node.children))
+        for node in preorder(expr)
+    ]
+
+
 def expression_to_prefix(expr: Expression) -> list[str]:
     """Serialize a valued expression; constants become decimal literals."""
-    out: list[str] = []
-    todo = [expr]
-    while todo:
-        node = todo.pop()
-        if node.is_constant:
-            out.append(repr(float(node.value)))
-        elif node.is_variable:
-            out.append(f"X{node.index + 1}")
-        else:
-            out.append(_operator_token(node.op, len(node.children)))
-        todo.extend(reversed(node.children))
-    return out
+    return _expression_tokens(expr, lambda value: repr(float(value)))
+
+
+def constant_leaf(token: str, where: str) -> Expression:
+    """A constant leaf for a decimal literal; ``DecodeError`` naming the
+    token and ``where`` it stands unless it is one and finite."""
+    if not (_NUMBER_TOKEN.match(token) and math.isfinite(float(token))):
+        raise DecodeError(f"constant {token!r} at {where} is not a finite decimal literal")
+    return const(float(token))
 
 
 def prefix_to_expression(tokens: list[str]) -> Expression:
@@ -215,6 +206,6 @@ def prefix_to_expression(tokens: list[str]) -> Expression:
             return var(index)
         if token == "C":
             raise DecodeError(f"valueless constant token at {position}; a numeric literal is required")
-        return const(float(token))
+        return constant_leaf(token, f"token {position}")
 
     return decode_preorder(tokens, leaf, op_node)

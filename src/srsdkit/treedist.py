@@ -35,19 +35,18 @@ def _postorder(root: SkeletonTree) -> tuple[list[str], list[int]]:
     leaf descendant of node i (both 0-based)."""
     labels: list[str] = []
     leftmost: list[int] = []
-
-    def walk(node: SkeletonTree) -> int:
-        first = None
-        for child in node.children:
-            idx = walk(child)
-            if first is None:
-                first = idx
-        labels.append(node.label)
-        my_index = len(labels) - 1
-        leftmost.append(first if first is not None else my_index)
-        return leftmost[my_index]
-
-    walk(root)
+    # A node is pushed once on entry and once, with its leftmost leaf's index,
+    # to be emitted after its children: that leaf is the first node of the
+    # subtree to be emitted, so its index is the count emitted on entry.
+    todo: list[tuple[SkeletonTree, int | None]] = [(root, None)]
+    while todo:
+        node, first = todo.pop()
+        if first is None:
+            todo.append((node, len(labels)))
+            todo.extend((child, None) for child in reversed(node.children))
+        else:
+            labels.append(node.label)
+            leftmost.append(first)
     return labels, leftmost
 
 

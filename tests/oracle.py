@@ -14,6 +14,9 @@ Both share nothing with the keyroot/forest dynamic program they check.
   evaluator: a fresh array per node, a column copy per variable leaf. The
   iterative ``evaluate_many`` must match its values and fault masks bit for
   bit.
+* :func:`recursive_skeletonize` builds a skeleton node by node, numbering
+  constants as it meets them; ``skeletonize``, which decodes the tree's
+  preorder tokens, must give the same labels and display indices.
 """
 
 from __future__ import annotations
@@ -168,3 +171,17 @@ def _eval_many(expr: Expression, X: np.ndarray, bad: np.ndarray) -> np.ndarray:
         raise AssertionError(op)
     bad |= ~np.isfinite(out)
     return out
+
+
+def recursive_skeletonize(expr: Expression) -> SkeletonTree:
+    counter = [0]
+
+    def walk(node: Expression) -> SkeletonTree:
+        if node.is_constant:
+            counter[0] += 1
+            return SkeletonTree("C", display_index=counter[0])
+        if node.is_variable:
+            return SkeletonTree(f"X{node.index + 1}")
+        return SkeletonTree(node.op, tuple(walk(c) for c in node.children))
+
+    return walk(expr)

@@ -1,6 +1,7 @@
 import filecmp
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -134,9 +135,11 @@ def test_deeply_nested_expression_is_data_error(tmp_path, easy_data, capsys):
     pred.write_text(deep)
     truth = tmp_path / "x1.txt"
     truth.write_text("X1\n")
-    code, _, err = run(capsys, "ned", "--pred", str(pred), "--truth", str(truth))
-    assert code == 2
-    assert "nested too deeply" in err
+    # Decoding, skeletons and edit distances are iterative: ned scores it.
+    code, out, _ = run(capsys, "ned", "--pred", str(pred), "--truth", str(truth))
+    assert code == 0
+    assert json.loads(out) == {"ned": 1.0, "edit_distance": 3000.0, "truth_nodes": 1}
+    # Canonicalization still recurses.
     preds = tmp_path / "preds"
     preds.mkdir()
     (preds / "I.12.1.txt").write_text(deep)
@@ -144,6 +147,28 @@ def test_deeply_nested_expression_is_data_error(tmp_path, easy_data, capsys):
                        "--data-dir", str(easy_data))
     assert code == 2
     assert "nested too deeply" in err
+
+
+def test_malformed_constants_are_data_errors(tmp_path, easy_data, capsys):
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    (preds / "I.12.1.txt").write_text("mul2 1e999 X1\n")
+    code, _, err = run(capsys, "eval", "--pred-dir", str(preds),
+                       "--data-dir", str(easy_data))
+    assert code == 2
+    assert err == "error: constant '1e999' at token 1 is not a finite decimal literal\n"
+
+    for bad in ("abc", "inf"):
+        corpus = tmp_path / bad
+        shutil.copytree(easy_data / "I.12.4", corpus / "I.12.4")
+        path = corpus / "I.12.4" / "true_eq.txt"
+        tokens, table = path.read_text().splitlines()
+        path.write_text(tokens + "\n" + " ".join([bad] + table.split()[1:]) + "\n")
+        code, _, err = run(capsys, "leakcheck", "--corpus", str(corpus),
+                           "--catalog", str(easy_data))
+        assert code == 2
+        assert err == (f"error: {path}: constant {bad!r} at entry 0 of the constant "
+                       "table is not a finite decimal literal\n")
 
 
 def test_complexity_rows_and_csv(tmp_path, capsys):

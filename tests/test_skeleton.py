@@ -1,23 +1,32 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 
+from srsdkit.catalog import builtin_problems
 from srsdkit.datagen import read_true_equation
 from srsdkit.expr import (
     DecodeError,
     canonicalize,
+    const,
     constant_values,
     count_ops,
     expression_to_prefix,
     from_preorder,
+    mul,
+    op_node,
     parse,
     prefix_to_expression,
     skeletonize,
     to_preorder,
+    var,
 )
+from srsdkit.expr.nodes import preorder
+from srsdkit.treedist import edit_distance
 
 from gen_util import expressions, random_expression
+from oracle import recursive_skeletonize
 
 
 def skel(text, names, consts=None):
@@ -128,7 +137,7 @@ def test_constant_table_rebuilds_expression(tmp_path):
 
     def rebuild(table):
         path.write_text(" ".join(tokens) + "\n" + " ".join(map(repr, table)) + "\n")
-        return read_true_equation(path)[2]
+        return read_true_equation(path)
 
     assert rebuild(values) == e
     with pytest.raises(DecodeError, match="longer"):
@@ -141,3 +150,37 @@ def test_deep_chain_decodes_without_recursion():
     tokens = ["sin"] * 3000 + ["X1"]
     assert to_preorder(from_preorder(tokens)) == tokens
     assert expression_to_prefix(prefix_to_expression(tokens)) == tokens
+
+
+def test_skeletonize_matches_recursive_reference():
+    trees = [spec.canonical_expression for spec in builtin_problems()]
+    rng = random.Random(11)
+    trees += [canonicalize(random_expression(rng, max_depth=6)) for _ in range(1000)]
+    for e in trees:
+        assert skeletonize(e) == recursive_skeletonize(e), e
+
+
+def test_tree_walks_handle_a_deep_chain(tmp_path):
+    depth = 3000
+    e = mul(const(2.5), var(1))
+    for _ in range(depth):
+        e = op_node("sin", e)
+    tokens = ["sin"] * depth + ["mul2", "C", "X2"]
+    path = tmp_path / "true_eq.txt"
+    path.write_text(" ".join(tokens) + "\n2.5\n")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        assert sum(1 for _ in preorder(e)) == depth + 3
+        assert e.node_count() == depth + 3
+        assert e.variables() == {1}
+        assert count_ops(e) == depth + 1
+        assert constant_values(e) == [2.5]
+        s = skeletonize(e)
+        assert s.node_count() == depth + 3
+        assert to_preorder(s) == tokens
+        assert expression_to_prefix(e) == tokens[:-2] + ["2.5", "X2"]
+        assert expression_to_prefix(read_true_equation(path)) == expression_to_prefix(e)
+        assert edit_distance(s, from_preorder(["X2"])) == depth + 2
+    finally:
+        sys.setrecursionlimit(limit)
