@@ -103,18 +103,27 @@ def is_symbolic_solution(pred: Expression, truth: Expression) -> bool:
     return ratio.is_constant and ratio.value != 0.0
 
 
-def relative_error_score(expr: Expression, X: np.ndarray, y: np.ndarray) -> float:
-    """Mean squared relative error, skipping near-zero targets and faulting
-    rows; infinity when over half the rows fault or nothing is scorable."""
+def relative_error_score(expr, X: np.ndarray, y: np.ndarray) -> float:
+    """Mean squared relative error of ``expr`` (an ``Expression`` or a
+    program), skipping near-zero targets and faulting rows; infinity when
+    over half the rows fault or nothing is scorable."""
     values, faulted = evaluate_many(expr, X)
-    if faulted.mean() > 0.5:
+    n_faulted = np.count_nonzero(faulted)
+    if 2 * n_faulted > faulted.size:  # exact, and total on 0 rows
         return math.inf
-    usable = (~faulted) & (np.abs(y) >= TINY_TARGET)
-    if not usable.any():
+    usable = ~faulted
+    usable &= np.abs(y) >= TINY_TARGET
+    n_usable = np.count_nonzero(usable)
+    if n_usable == 0:
         return math.inf
+    if n_usable < usable.size:
+        values, y = values[usable], y[usable]
+    # values is this call's own array, so the ratio is formed in place.
     with np.errstate(over="ignore", invalid="ignore"):
-        ratio = (values[usable] - y[usable]) / y[usable]
-        score = float(np.mean(np.abs(ratio) ** 2))
+        values -= y
+        values /= y
+        values *= values
+        score = float(np.add.reduce(values) / n_usable)
     return math.inf if math.isnan(score) else score
 
 
@@ -125,16 +134,17 @@ def select_best(candidates: list[Expression], validation: Dataset) -> Expression
         raise ValueError("no candidates to select from")
     if validation.n_rows == 0:
         raise ValueError("validation dataset is empty")
-    best = None
-    for position, candidate in enumerate(candidates):
-        score = relative_error_score(candidate, validation.X, validation.y)
-        size = skeletonize(canonicalize(candidate)).node_count()
-        key = (score, size, position)
-        if best is None or key < best[0]:
-            best = (key, candidate)
-    if math.isinf(best[0][0]):
+    scores = [relative_error_score(c, validation.X, validation.y) for c in candidates]
+    best_score = min(scores)
+    if math.isinf(best_score):
         raise NoViableCandidateError("all candidates scored +inf on the validation rows")
-    return best[1]
+    # Only the candidates tied on the best score need a skeleton size.
+    _, position = min(
+        (skeletonize(canonicalize(candidate)).node_count(), position)
+        for position, (candidate, score) in enumerate(zip(candidates, scores))
+        if score == best_score
+    )
+    return candidates[position]
 
 
 def evaluate_against(

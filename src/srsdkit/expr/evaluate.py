@@ -10,13 +10,16 @@ table in :mod:`.nodes`:
   ufunc; faulting rows are reported in a boolean mask instead of raising. A
   row faults if any node in the tree produces a non-finite value for it.
 
-``evaluate_many`` is one iterative postorder walk: an explicit stack lists the
-nodes, and a loop over them keeps an operand stack, so tree depth is bounded
-by memory, not by Python's recursion limit. Variable leaves push column views
-of ``X`` and constant leaves a filled array. Each operator applies its numpy
-ufunc, writing into an operand array the walk allocated itself when there is
-one; n-ary ``add`` and ``mul`` fold left to right. After every operator,
-``isfinite`` of its result is folded into one row mask.
+``evaluate_many`` is one loop over a program, the flat preorder token tuple
+of :func:`.nodes.to_program`: it takes a program as the GP evolves it, or an
+``Expression``, which it flattens first. Run backwards, the program is a
+postorder with children right to left, so the loop keeps an operand stack and
+tree depth is bounded by memory, not by Python's recursion limit. Variable
+leaves push column views of ``X`` and constant leaves a filled array. Each
+operator applies its numpy ufunc, writing into an operand array the loop
+allocated itself when there is one; n-ary ``add`` and ``mul`` fold left to
+right. After every operator, ``isfinite`` of its result is folded into one
+row mask.
 
 Faults cover log of a non-positive, 0 raised to a negative power, a negative
 base with a fractional exponent, division by zero, and overflow to infinity:
@@ -29,7 +32,7 @@ import math
 
 import numpy as np
 
-from .nodes import OPERATORS, Expression
+from .nodes import OPERATORS, Expression, to_program
 
 
 class VariableIndexError(ValueError):
@@ -73,63 +76,56 @@ def _eval(expr: Expression, row, path) -> float:
     return out
 
 
-def evaluate_many(expr: Expression, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate over all rows of ``X`` (shape (n, k)).
+def evaluate_many(expr, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate ``expr``, an ``Expression`` or its program (see
+    :func:`.nodes.to_program`), over all rows of ``X`` (shape (n, k)).
 
     Returns ``(values, fault_mask)``. ``values`` is meaningful only where
     ``fault_mask`` is False, and never shares memory with ``X``.
     """
+    program = to_program(expr) if isinstance(expr, Expression) else expr
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-dimensional")
     n, width = X.shape
-    # Root first, each node before its subtrees, children right to left:
-    # reversed, this is a postorder with children left to right.
-    order = []
-    todo = [expr]
-    while todo:
-        node = todo.pop()
-        order.append(node)
-        todo.extend(node.children)
     ok = np.ones(n, dtype=bool)
     finite = np.empty(n, dtype=bool)
     # Views of X have a base; arrays with none were allocated by this call
     # and may be overwritten.
     operands: list[np.ndarray] = []
     with np.errstate(all="ignore"):
-        for node in reversed(order):
-            if node.op is None:
-                if node.index is None:
-                    # A full array, not a scalar: np.power takes shortcuts for
-                    # scalar exponents such as 2.0 and 0.5 that round differently.
-                    operands.append(np.full(n, node.value))
-                elif node.index < width:
-                    operands.append(X[:, node.index])
-                else:
-                    raise VariableIndexError(
-                        f"variable X{node.index + 1} (index {node.index}) is past the "
-                        f"last of {width} input columns"
-                    )
+        # Reversed, a preorder program leaves an operator's first operand on
+        # top of the stack, its second under it, and so on.
+        for token in reversed(program):
+            if type(token) is float:
+                # A full array, not a scalar: np.power takes shortcuts for
+                # scalar exponents such as 2.0 and 0.5 that round differently.
+                operands.append(np.full(n, token))
                 continue
-            k = len(node.children)
-            args = operands[-k:]
-            del operands[-k:]
+            if len(token) == 1:
+                if token[0] >= width:
+                    raise _missing_column(program, width)
+                operands.append(X[:, token[0]])
+                continue
+            _, k, ufunc = token
+            first = operands.pop()
             # The result goes into the first or second operand when this call
             # owns it: later operands of add and mul are read only after both
             # of those have been consumed.
-            if args[0].base is None:
-                out = args[0]
-            elif k > 1 and args[1].base is None:
-                out = args[1]
-            else:
-                out = np.empty(n)
-            ufunc = OPERATORS[node.op].ufunc
             if k == 1:
-                ufunc(args[0], out=out)
+                out = first if first.base is None else np.empty(n)
+                ufunc(first, out=out)
             else:
-                ufunc(args[0], args[1], out=out)
-                for arg in args[2:]:  # add and mul fold left to right
-                    ufunc(out, arg, out=out)
+                second = operands.pop()
+                if first.base is None:
+                    out = first
+                elif second.base is None:
+                    out = second
+                else:
+                    out = np.empty(n)
+                ufunc(first, second, out=out)
+                for _ in range(k - 2):  # add and mul fold left to right
+                    ufunc(out, operands.pop(), out=out)
             # Flag intermediate blow-ups too, so a later operation cannot
             # launder an overflow back into a finite value (1/exp(1000)).
             ok &= np.isfinite(out, out=finite)
@@ -139,3 +135,11 @@ def evaluate_many(expr: Expression, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
         values = values.copy()
         ok &= np.isfinite(values, out=finite)
     return values, ~ok
+
+
+def _missing_column(program, width: int) -> VariableIndexError:
+    """The error for the leftmost variable of ``program`` past column ``width``."""
+    index = next(t[0] for t in program if type(t) is tuple and len(t) == 1 and t[0] >= width)
+    return VariableIndexError(
+        f"variable X{index + 1} (index {index}) is past the last of {width} input columns"
+    )

@@ -11,6 +11,10 @@ the domain check that guards it, and its numpy ufunc. The node constructor,
 read it. The table's order is the canonical rank: commutative operands are
 sorted by it, so reordering the entries changes canonical forms, skeletons
 and every edit distance computed from them.
+
+A tree also has a flat form, its program: the tuple of its tokens in
+preorder (:func:`to_program`, :func:`from_program`). The GP evolves programs,
+and ``evaluate_many`` runs on them.
 """
 
 from __future__ import annotations
@@ -138,12 +142,6 @@ class Expression:
         """Set of variable indices occurring in the tree."""
         return {node.index for node in preorder(self) if node.is_variable}
 
-    def subtree(self, path: tuple[int, ...]) -> "Expression":
-        node = self
-        for i in path:
-            node = node.children[i]
-        return node
-
     def __repr__(self):
         if self.is_constant:
             return f"const({self.value!r})"
@@ -164,6 +162,50 @@ def preorder(tree):
         node = todo.pop()
         yield node
         todo.extend(reversed(node.children))
+
+
+# A program is a tree as a flat tuple of tokens in preorder, so a subtree is
+# a contiguous slice. A constant is a float, a variable is the 1-tuple
+# ``(index,)`` and an operator is ``(name, arity, ufunc)``. A variable never
+# compares equal to a constant, as the int 1 would to 1.0; programs compare
+# and hash as their trees do, with 0.0 == -0.0.
+
+def operator_token(name: str, arity: int) -> tuple:
+    return (name, arity, OPERATORS[name].ufunc)
+
+
+def operand_count(token) -> int:
+    """Operands a program token takes (0 for leaves)."""
+    return 0 if type(token) is float or len(token) == 1 else token[1]
+
+
+def to_program(expr: Expression) -> tuple:
+    """The program of ``expr``: one token per node, in preorder."""
+    return tuple(
+        operator_token(node.op, len(node.children)) if node.op is not None
+        else (node.index,) if node.index is not None
+        else float(node.value)
+        for node in preorder(expr)
+    )
+
+
+def from_program(program) -> Expression:
+    """The tree of ``program``, built by one fold over its reversed tokens:
+    each operator takes its operands from the top of the stack, first child
+    on top."""
+    stack: list[Expression] = []
+    for token in reversed(program):
+        if type(token) is float:
+            stack.append(Expression(value=token))
+        elif len(token) == 1:
+            stack.append(Expression(index=token[0]))
+        else:
+            k = token[1]
+            children = tuple(stack[:-k - 1:-1])
+            del stack[-k:]
+            stack.append(Expression(op=token[0], children=children))
+    (tree,) = stack
+    return tree
 
 
 def const(value: float) -> Expression:

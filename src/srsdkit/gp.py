@@ -2,18 +2,25 @@
 
 Standard generational GP: ramped half-and-half initialization, tournament
 selection, subtree crossover, point and subtree mutation, elitism of one.
-Individuals are raw expression trees (``sub`` builds an add/negate pair, and
-``div`` survives until canonicalization). Fitness is the same mean squared
-relative error used for validation-based model selection; rows an individual
-faults on are skipped, and an individual faulting on more than half the
-training rows scores infinity, so evolution is total without hiding domain
-errors behind patched operators. Final reported metrics evaluate strictly.
+Fitness is the same mean squared relative error used for validation-based
+model selection; rows an individual faults on are skipped, and an individual
+faulting on more than half the training rows scores infinity, so evolution is
+total without hiding domain errors behind patched operators. Final reported
+metrics evaluate strictly.
+
+Individuals are flat preorder programs (see :func:`.expr.to_program`), as in
+gplearn's ``_Program``: a tuple of tokens in which each subtree is a
+contiguous slice, found by counting operands. Crossover and subtree mutation
+splice slices, depth comes from one pass over the tokens, and fitness calls
+``evaluate_many`` on the program itself. The trees are raw: ``sub`` builds an
+add/negate pair, and ``div`` survives until canonicalization. Only the top-k
+that :func:`evolve` returns are built as ``Expression`` trees.
 
 Deterministic for a given config: one sequential RNG drives all structural
-choices, and fitness evaluation is pure. Because it is pure, equal trees are
-scored once per generation: each generation keeps a dict from tree to score,
-seeded with the current population, and an offspring equal to a tree in it
-reuses that score.
+choices, and fitness evaluation is pure. Because it is pure, equal programs
+are scored once per generation: each generation keeps a dict from program to
+score, seeded with the current population, and an offspring equal to a
+program in it reuses that score.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .datagen import Dataset
 from .evalkit import relative_error_score
-from .expr import OPERATORS, Expression, const, op_node, var
+from .expr import OPERATORS, Expression, from_program, operand_count, operator_token
 
 DEFAULT_OPERATORS = ("add", "sub", "mul", "div", "sin", "cos", "exp", "log")
 
@@ -62,7 +69,7 @@ class GPConfig:
 
 @dataclass
 class Individual:
-    expr: Expression
+    program: tuple
     fitness: float = field(default=float("inf"))
 
 
@@ -79,104 +86,147 @@ def allowed_node_operators(config: GPConfig) -> set[str]:
     return out
 
 
+_ADD = operator_token("add", 2)
+_NEG = operator_token("neg", 1)
+
+
 class _TreeFactory:
     def __init__(self, config: GPConfig, n_vars: int, rng: random.Random):
         self.config = config
         self.n_vars = n_vars
         self.rng = rng
-        self.binary = [op for op in config.operators if not _is_unary(op)]
-        self.unary = [op for op in config.operators if _is_unary(op)]
+        self.ops = sorted(config.operators, key=_is_unary)  # binary first, order kept
+        self.tokens = {op: operator_token(op, 1 if _is_unary(op) else 2)
+                       for op in self.ops if op != "sub"}
 
-    def terminal(self) -> Expression:
+    def terminal(self):
         if self.config.const_range is not None and self.rng.random() < 0.3:
             lo, hi = self.config.const_range
-            return const(self.rng.uniform(lo, hi))
-        return var(self.rng.randrange(self.n_vars))
+            return self.rng.uniform(lo, hi)
+        return (self.rng.randrange(self.n_vars),)
 
-    def _operator_node(self, op: str, build) -> Expression:
-        if op == "sub":
-            return op_node("add", build(), op_node("neg", build()))
-        if not _is_unary(op):
-            return op_node(op, build(), build())
-        return op_node(op, build())
+    def _tree(self, depth: int, grow: bool, out: list) -> None:
+        """Append a random tree's tokens to ``out``, each token as soon as
+        its RNG draws are made, so the tokens come in preorder."""
+        if depth <= 1 or (grow and self.rng.random() < 0.25):
+            out.append(self.terminal())
+            return
+        op = self.rng.choice(self.ops)
+        if op == "sub":  # a - b is built as add(a, neg(b))
+            out.append(_ADD)
+            self._tree(depth - 1, grow, out)
+            out.append(_NEG)
+            self._tree(depth - 1, grow, out)
+            return
+        token = self.tokens[op]
+        out.append(token)
+        for _ in range(token[1]):
+            self._tree(depth - 1, grow, out)
 
-    def grow(self, depth: int) -> Expression:
-        if depth <= 1 or self.rng.random() < 0.25:
-            return self.terminal()
-        op = self.rng.choice(self.binary + self.unary)
-        return self._operator_node(op, lambda: self.grow(depth - 1))
+    def grow(self, depth: int) -> tuple:
+        out: list = []
+        self._tree(depth, True, out)
+        return tuple(out)
 
-    def full(self, depth: int) -> Expression:
-        if depth <= 1:
-            return self.terminal()
-        op = self.rng.choice(self.binary + self.unary)
-        return self._operator_node(op, lambda: self.full(depth - 1))
-
-    def ramped(self) -> Expression:
+    def ramped(self) -> tuple:
         depth = self.rng.randint(2, max(2, min(4, self.config.max_depth)))
-        tree = self.full(depth) if self.rng.random() < 0.5 else self.grow(depth)
-        return tree if tree.depth() <= self.config.max_depth else self.terminal()
+        out: list = []
+        self._tree(depth, self.rng.random() >= 0.5, out)
+        return tuple(out) if _depth(out) <= self.config.max_depth else (self.terminal(),)
 
 
-def _paths(expr: Expression, prefix=()) -> list[tuple[int, ...]]:
-    out = [prefix]
-    for i, child in enumerate(expr.children):
-        out.extend(_paths(child, prefix + (i,)))
-    return out
+def _subtree_end(program, start: int) -> int:
+    """End of the slice holding the subtree that starts at ``start``."""
+    end = start
+    pending = 1
+    while pending:
+        pending += operand_count(program[end]) - 1
+        end += 1
+    return end
 
 
-def _replace(expr: Expression, path: tuple[int, ...], sub: Expression) -> Expression:
-    if not path:
-        return sub
-    i = path[0]
-    children = list(expr.children)
-    children[i] = _replace(children[i], path[1:], sub)
-    return Expression(op=expr.op, children=tuple(children))
+def _depth(program) -> int:
+    """Number of levels, from one pass; a leaf has depth 1."""
+    deepest = 0
+    open_ops: list[int] = []  # operands still due to each open ancestor
+    for token in program:
+        if len(open_ops) >= deepest:
+            deepest = len(open_ops) + 1
+        k = operand_count(token)
+        if k:
+            open_ops.append(k)
+            continue
+        while open_ops:
+            open_ops[-1] -= 1
+            if open_ops[-1]:
+                break
+            open_ops.pop()
+    return deepest
 
 
-def _crossover(a: Expression, b: Expression, rng: random.Random, max_depth: int) -> Expression:
-    path = rng.choice(_paths(a))
-    donor = rng.choice(_paths(b))
-    child = _replace(a, path, b.subtree(donor))
-    return child if child.depth() <= max_depth else a
+def _postorder(program):
+    """Indices of ``program``'s tokens in postorder, children left to right."""
+    open_ops: list[list[int]] = []  # [index, operands still due]
+    for i, token in enumerate(program):
+        k = operand_count(token)
+        if k:
+            open_ops.append([i, k])
+            continue
+        yield i
+        while open_ops:
+            top = open_ops[-1]
+            top[1] -= 1
+            if top[1]:
+                break
+            open_ops.pop()
+            yield top[0]
 
 
-def _subtree_mutation(a: Expression, factory: _TreeFactory, rng: random.Random) -> Expression:
-    path = rng.choice(_paths(a))
-    child = _replace(a, path, factory.grow(3))
-    return child if child.depth() <= factory.config.max_depth else a
+def _crossover(a: tuple, b: tuple, rng: random.Random, max_depth: int) -> tuple:
+    # A random preorder index draws as rng.choice over the list of nodes would.
+    i = rng.randrange(len(a))
+    j = rng.randrange(len(b))
+    child = a[:i] + b[j:_subtree_end(b, j)] + a[_subtree_end(a, i):]
+    return child if _depth(child) <= max_depth else a
 
 
-def _point_mutation(a: Expression, factory: _TreeFactory, rng: random.Random, rate=0.15) -> Expression:
-    def visit(node: Expression) -> Expression:
-        children = tuple(visit(c) for c in node.children)
+def _subtree_mutation(a: tuple, factory: _TreeFactory, rng: random.Random) -> tuple:
+    i = rng.randrange(len(a))
+    child = a[:i] + factory.grow(3) + a[_subtree_end(a, i):]
+    return child if _depth(child) <= factory.config.max_depth else a
+
+
+def _point_mutation(a: tuple, factory: _TreeFactory, rng: random.Random, rate=0.15) -> tuple:
+    """Redraw each node with probability ``rate``, visiting nodes in
+    postorder; an operator keeps its arity."""
+    out = list(a)
+    for i in _postorder(a):
         if rng.random() >= rate:
-            return Expression(op=node.op, value=node.value, index=node.index, children=children)
-        if node.is_constant:
-            return const(node.value + rng.gauss(0.0, 1.0)) if factory.config.const_range else node
-        if node.is_variable:
-            return var(rng.randrange(factory.n_vars))
-        candidates = [
-            op for op in factory.binary + factory.unary
-            if op != "sub" and _is_unary(op) == _is_unary(node.op) and op != node.op
-        ]
-        if not candidates:
-            return Expression(op=node.op, children=children)
-        return Expression(op=rng.choice(candidates), children=children)
-
-    return visit(a)
+            continue
+        token = a[i]
+        if type(token) is float:
+            if factory.config.const_range:
+                out[i] = token + rng.gauss(0.0, 1.0)
+        elif len(token) == 1:
+            out[i] = (rng.randrange(factory.n_vars),)
+        else:
+            candidates = [t for t in factory.tokens.values() if t[1] == token[1] and t != token]
+            if candidates:
+                out[i] = rng.choice(candidates)
+    return tuple(out)
 
 
-def fitness(expr: Expression, train: Dataset) -> float:
-    """Mean squared relative error on the training rows (lower is better)."""
+def fitness(expr, train: Dataset) -> float:
+    """Mean squared relative error on the training rows (lower is better) of
+    an ``Expression`` or a program."""
     return relative_error_score(expr, train.X, train.y)
 
 
-def _memo_fitness(known: dict[Expression, float], expr: Expression, train: Dataset) -> float:
-    """``fitness`` of ``expr``, computed only if ``known`` lacks it."""
-    score = known.get(expr)
+def _memo_fitness(known: dict[tuple, float], program: tuple, train: Dataset) -> float:
+    """``fitness`` of ``program``, computed only if ``known`` lacks it."""
+    score = known.get(program)
     if score is None:
-        score = known[expr] = fitness(expr, train)
+        score = known[program] = fitness(program, train)
     return score
 
 
@@ -196,9 +246,9 @@ def evolve(train: Dataset, config: GPConfig) -> list[Expression]:
     factory = _TreeFactory(config, n_vars, rng)
 
     population = [Individual(factory.ramped()) for _ in range(config.population_size)]
-    known: dict[Expression, float] = {}
+    known: dict[tuple, float] = {}
     for ind in population:
-        ind.fitness = _memo_fitness(known, ind.expr, train)
+        ind.fitness = _memo_fitness(known, ind.program, train)
 
     for _ in range(config.generations):
         best = min(population, key=lambda ind: ind.fitness)
@@ -206,22 +256,22 @@ def evolve(train: Dataset, config: GPConfig) -> list[Expression]:
             break
         # The parents' scores plus the offspring's; rebuilt every generation,
         # so it holds no tree that has died out.
-        known = {ind.expr: ind.fitness for ind in population}
-        next_pop = [Individual(best.expr, best.fitness)]  # elitism of one
+        known = {ind.program: ind.fitness for ind in population}
+        next_pop = [Individual(best.program, best.fitness)]  # elitism of one
         while len(next_pop) < config.population_size:
             roll = rng.random()
             parent = _tournament(population, rng, config.tournament_size)
             if roll < config.p_crossover:
                 mate = _tournament(population, rng, config.tournament_size)
-                child = _crossover(parent.expr, mate.expr, rng, config.max_depth)
+                child = _crossover(parent.program, mate.program, rng, config.max_depth)
             elif roll < config.p_crossover + config.p_subtree_mutation:
-                child = _subtree_mutation(parent.expr, factory, rng)
+                child = _subtree_mutation(parent.program, factory, rng)
             elif roll < config.p_crossover + config.p_subtree_mutation + config.p_point_mutation:
-                child = _point_mutation(parent.expr, factory, rng)
+                child = _point_mutation(parent.program, factory, rng)
             else:
-                child = parent.expr
+                child = parent.program
             next_pop.append(Individual(child, _memo_fitness(known, child, train)))
         population = next_pop
 
     ranked = sorted(enumerate(population), key=lambda pair: (pair[1].fitness, pair[0]))
-    return [ind.expr for _, ind in ranked[: config.top_k]]
+    return [from_program(ind.program) for _, ind in ranked[: config.top_k]]

@@ -14,6 +14,9 @@ Both share nothing with the keyroot/forest dynamic program they check.
   evaluator: a fresh array per node, a column copy per variable leaf. The
   iterative ``evaluate_many`` must match its values and fault masks bit for
   bit.
+* :func:`masked_relative_error_score` is the relative-error fitness as it
+  was written before its lean tail: ``mean``, boolean indexing and
+  ``abs(.)**2``. ``relative_error_score`` must give the same bits.
 * :func:`recursive_skeletonize` builds a skeleton node by node, numbering
   constants as it meets them; ``skeletonize``, which decodes the tree's
   preorder tokens, must give the same labels and display indices.
@@ -21,11 +24,13 @@ Both share nothing with the keyroot/forest dynamic program they check.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from srsdkit.expr import Expression, SkeletonTree
+from srsdkit.evalkit import TINY_TARGET
+from srsdkit.expr import Expression, SkeletonTree, evaluate_many
 
 
 def _number(root: SkeletonTree):
@@ -171,6 +176,19 @@ def _eval_many(expr: Expression, X: np.ndarray, bad: np.ndarray) -> np.ndarray:
         raise AssertionError(op)
     bad |= ~np.isfinite(out)
     return out
+
+
+def masked_relative_error_score(expr, X: np.ndarray, y: np.ndarray) -> float:
+    values, faulted = evaluate_many(expr, X)
+    if faulted.mean() > 0.5:
+        return math.inf
+    usable = (~faulted) & (np.abs(y) >= TINY_TARGET)
+    if not usable.any():
+        return math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = (values[usable] - y[usable]) / y[usable]
+        score = float(np.mean(np.abs(ratio) ** 2))
+    return math.inf if math.isnan(score) else score
 
 
 def recursive_skeletonize(expr: Expression) -> SkeletonTree:

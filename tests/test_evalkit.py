@@ -1,4 +1,6 @@
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,10 @@ from srsdkit.evalkit import (
     solution_rate,
     summarize,
 )
-from srsdkit.expr import add, const, mul, parse, var
+from srsdkit.expr import add, const, evaluate_many, mul, op_node, parse, to_program, var
+
+from gen_util import random_expression
+from oracle import masked_relative_error_score
 
 
 def test_r_squared_perfect_predictions():
@@ -131,6 +136,36 @@ def test_relative_error_faulting_majority_is_inf():
     ds = _toy_dataset([[-1.0], [-2.0], [3.0]], [1.0, 1.0, 1.0])
     score = relative_error_score(parse("log(x)", ["x"]), ds.X, ds.y)
     assert math.isinf(score)
+
+
+def test_relative_error_score_is_bit_identical_to_masked_reference():
+    rng = random.Random(77)
+    data = np.random.default_rng(77)
+    # log(-(|x1| + 1)) faults on every row.
+    always_faults = op_node("log", op_node("neg", add(op_node("abs", var(0)), const(1.0))))
+    seen = {"inf": 0, "every_row_used": 0, "rows_skipped": 0}
+    for trial in range(400):
+        expr = always_faults if trial % 50 == 0 else random_expression(rng, max_depth=5)
+        rows = 0 if trial % 40 == 1 else int(data.integers(1, 80))
+        X = data.uniform(-3, 3, (rows, 3)) * np.exp(data.uniform(-6, 6, (rows, 3)))
+        y = data.uniform(-5, 5, rows)
+        if trial % 2:
+            y[data.random(rows) < 0.2] = 0.0
+            y[data.random(rows) < 0.1] = 1e-310  # below TINY_TARGET
+        for arg in (expr, to_program(expr)):
+            got = relative_error_score(arg, X, y)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # mean of 0 rows
+                want = masked_relative_error_score(expr, X, y)
+            assert got.hex() == want.hex()
+        if math.isinf(got):
+            seen["inf"] += 1
+        elif evaluate_many(expr, X)[1].any() or (np.abs(y) < 1e-300).any():
+            seen["rows_skipped"] += 1
+        else:
+            seen["every_row_used"] += 1
+    assert min(seen.values()) > 20
+    assert relative_error_score(var(0), np.empty((0, 1)), np.empty(0)) == math.inf
 
 
 def test_select_best_prefers_exact_truth():

@@ -10,10 +10,12 @@ from srsdkit.expr import (
     div,
     evaluate,
     evaluate_many,
+    from_program,
     mul,
     op_node,
     parse,
     pow_,
+    to_program,
     var,
 )
 
@@ -114,10 +116,11 @@ def test_evaluate_many_is_bit_identical_to_recursive_oracle():
         # faults all occur, both at the root and inside the tree.
         X = data.uniform(-3, 3, (64, 3)) * np.exp(data.uniform(-8, 8, (64, 3)))
         X[data.random(64) < 0.1, 0] = 0.0
-        values, bad = evaluate_many(e, X)
         want_values, want_bad = recursive_evaluate_many(e, X)
-        assert bad.tolist() == want_bad.tolist()
-        assert values[~bad].view(np.int64).tolist() == want_values[~want_bad].view(np.int64).tolist()
+        for arg in (e, to_program(e)):
+            values, bad = evaluate_many(arg, X)
+            assert bad.tolist() == want_bad.tolist()
+            assert values[~bad].view(np.int64).tolist() == want_values[~want_bad].view(np.int64).tolist()
         faulted += bad.any()
     assert faulted > 50
 
@@ -140,3 +143,28 @@ def test_evaluate_many_bare_variable_returns_a_copy():
 def test_evaluate_many_rejects_missing_column():
     with pytest.raises(VariableIndexError, match="X9"):
         evaluate_many(mul(var(0), var(8)), np.ones((3, 2)))
+    # The leftmost missing variable is named, though the loop meets X9 first.
+    with pytest.raises(VariableIndexError, match=r"X5 \(index 4\)"):
+        evaluate_many(to_program(mul(var(4), var(8))), np.ones((3, 2)))
+
+
+def test_program_round_trips_to_the_same_tree():
+    rng = random.Random(99)
+    for _ in range(500):
+        e = random_expression(rng, max_depth=6)
+        program = to_program(e)
+        assert len(program) == e.node_count()
+        back = from_program(program)
+        assert back == e and repr(back) == repr(e)
+        assert to_program(back) == program
+
+
+def test_program_tokens_keep_variables_and_constants_apart():
+    # In Python 1 == 1.0, so bare ints would make X2 and the constant 1 one key.
+    assert len({to_program(var(1)): "X2", to_program(const(1.0)): "1.0"}) == 2
+    assert to_program(var(0)) != to_program(const(0.0))
+    assert len({to_program(mul(var(1), var(0))), to_program(mul(const(1.0), const(0.0)))}) == 2
+    # Constants compare as Expression constants do: 0.0 == -0.0.
+    assert const(0.0) == const(-0.0)
+    assert to_program(const(0.0)) == to_program(const(-0.0))
+    assert hash(to_program(const(0.0))) == hash(to_program(const(-0.0)))

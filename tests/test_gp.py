@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,7 +8,15 @@ from srsdkit.catalog import load_builtin
 from srsdkit.datagen import Dataset, derive_seed, sample, split
 from srsdkit.evalkit import select_best
 from srsdkit import gp
-from srsdkit.expr import canonicalize, expression_to_prefix, skeletonize, to_preorder
+from srsdkit.expr import (
+    canonicalize,
+    expression_to_prefix,
+    from_program,
+    skeletonize,
+    to_preorder,
+    to_program,
+)
+from srsdkit.expr.nodes import preorder
 from srsdkit.gp import GPConfig, allowed_node_operators, evolve, fitness
 
 
@@ -150,6 +159,83 @@ def test_top_k_is_pinned(problem_id, seed):
     train = sample(spec, 200, derive_seed(2, spec.id))
     top = evolve(train, GPConfig(population_size=80, generations=8, top_k=3, seed=seed))
     assert [" ".join(expression_to_prefix(e)) for e in top] == PINNED_TOP_K[(problem_id, seed)]
+
+
+# The same runs under two more configurations, recorded before individuals
+# became flat programs: a constant-free operator set with ``sub`` and a
+# shallow depth bound, and a run that is mostly point mutation.
+VARIANT_CONFIGS = {
+    "no_constants": dict(operators=("sub", "mul", "div", "sin", "log"), const_range=None,
+                         max_depth=4),
+    "point_mutation": dict(p_crossover=0.25, p_subtree_mutation=0.15, p_point_mutation=0.6,
+                           max_depth=3),
+}
+
+PINNED_VARIANT_TOP_K = {
+    ("I.12.4", "no_constants", 0): [
+        "div div div X2 X2 X1 mul2 sin X2 X2",
+        "div div div X2 X2 X1 mul2 sin X2 X2",
+        "div div div X2 X2 X1 mul2 X2 X2",
+    ],
+    ("I.12.4", "no_constants", 1): [
+        "div div div X1 X1 X1 X2",
+        "div div div X2 X2 X1 X2",
+        "div div X1 X1 mul2 X2 X1",
+    ],
+    ("I.12.4", "point_mutation", 0): [
+        "div mul2 7.232725232916907 5.116084083144479 mul2 X1 X2",
+    ] * 3,
+    ("I.12.4", "point_mutation", 1): [
+        "div div 8.88291555752457 X2 mul2 X2 X1",
+    ] * 3,
+    ("II.8.31", "no_constants", 0): [
+        "add2 log X1 neg log X1",
+        "mul2 X1 add2 X1 neg X1",
+        "mul2 X1 add2 X1 neg X1",
+    ],
+    ("II.8.31", "no_constants", 1): [
+        "add2 X1 neg X1",
+        "mul2 div X1 X1 add2 X1 neg X1",
+        "mul2 sin X1 add2 X1 neg X1",
+    ],
+    ("II.8.31", "point_mutation", 0): ["add2 X1 neg X1"] * 3,
+    ("II.8.31", "point_mutation", 1): ["add2 X1 neg X1"] * 3,
+}
+
+
+@pytest.mark.parametrize("problem_id, variant, seed", sorted(PINNED_VARIANT_TOP_K))
+def test_variant_top_k_is_pinned(problem_id, variant, seed):
+    spec = load_builtin(problem_id)
+    train = sample(spec, 200, derive_seed(2, spec.id))
+    cfg = GPConfig(population_size=80, generations=8, top_k=3, seed=seed,
+                   **VARIANT_CONFIGS[variant])
+    top = evolve(train, cfg)
+    assert [" ".join(expression_to_prefix(e)) for e in top] == \
+        PINNED_VARIANT_TOP_K[(problem_id, variant, seed)]
+
+
+@pytest.mark.parametrize("max_depth", [2, 4, 6])
+def test_every_offspring_decodes_within_the_depth_bound(max_depth):
+    cfg = GPConfig(max_depth=max_depth, operators=("sub", "add", "mul", "div", "sin", "exp"))
+    rng = random.Random(max_depth)
+    factory = gp._TreeFactory(cfg, 3, rng)
+    population = [factory.ramped() for _ in range(60)]
+    arities = lambda program: [gp.operand_count(t) for t in program]
+    for _ in range(600):
+        a, b = rng.choice(population), rng.choice(population)
+        children = [
+            gp._crossover(a, b, rng, max_depth),
+            gp._subtree_mutation(a, factory, rng),
+            gp._point_mutation(a, factory, rng, rate=0.5),
+        ]
+        # Point mutation redraws tokens in place and keeps every arity.
+        assert arities(children[2]) == arities(a)
+        for child in children:
+            tree = from_program(child)
+            assert to_program(tree) == child
+            assert gp._depth(child) == tree.depth() <= max_depth
+            assert {n.op for n in preorder(tree) if n.is_operator} <= allowed_node_operators(cfg)
+        population[rng.randrange(len(population))] = rng.choice(children)
 
 
 def test_no_tree_is_scored_twice_in_one_generation(monkeypatch):
