@@ -9,15 +9,33 @@ after rounding or make the true formula fault (division by zero, log of a
 non-positive, overflow) are rejected and redrawn, so emitted datasets are
 fault-free. Everything is deterministic given (spec, n, seed).
 
-On-disk format: one row per line, whitespace-separated doubles in shortest
-round-trip form, sampled variables in spec order with the target last;
-reading rejects non-finite cells. A problem directory holds train.txt /
-val.txt / test.txt plus true_eq.txt (line 1: the true skeleton in preorder
-tokens; line 2: its constant values in display order, possibly empty).
+On-disk format: one row per line, sampled variables in spec order with the
+target last. ``write`` prints each float64 cell as its shortest round-trip
+``repr``, one space between cells, ``\\n`` after each row. ``read`` parses
+with ``np.loadtxt`` and accepts:
+
+- lines ending in ``\\n``, ``\\r\\n`` or ``\\r``; blank and whitespace-only
+  lines are skipped;
+- cells separated by any whitespace (spaces, tabs, form feeds, ...), with
+  leading and trailing whitespace ignored;
+- a cell is ASCII text that Python's ``float`` reads and that holds no
+  underscore: ``3``, ``-0.5``, ``.5``, ``1e-05``, ``5e-324``. ``#`` starts
+  no comment; it is a non-numeric cell.
+
+Every other file raises ``DataError`` with one of four texts, naming the
+file and the first fault: ``non-numeric value on line N``, ``expected W
+columns, found M on line N`` (N counts file lines, blank ones included),
+``no data rows``, and ``non-finite value in data row N`` (N counts data
+rows; ``nan`` and ``inf`` parse but are rejected).
+
+A problem directory holds train.txt / val.txt / test.txt plus true_eq.txt
+(line 1: the true skeleton in preorder tokens; line 2: its constant values
+in display order, possibly empty).
 """
 
 from __future__ import annotations
 
+import warnings
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -33,6 +51,7 @@ from .expr import (
     evaluate_many,
     op_node,
     to_preorder,
+    to_program,
     var,
     variable_index,
 )
@@ -115,14 +134,14 @@ def sample(spec: ProblemSpec, n: int, seed) -> Dataset:
     if n < 1:
         raise DataError(f"row count must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    expr = spec.canonical_expression
+    program = to_program(spec.canonical_expression)
     chunks: list[np.ndarray] = []
     accepted = 0
     drawn = 0
     while accepted < n:
         batch = max(2 * (n - accepted), 1024)
         X, violated = _draw_columns(spec, rng, batch)
-        y, faulted = evaluate_many(expr, X)
+        y, faulted = evaluate_many(program, X)
         keep = ~(violated | faulted)
         good = np.column_stack([X[keep], y[keep]])
         chunks.append(good)
@@ -185,40 +204,53 @@ def inject_noise(ds: Dataset, gamma: float, seed, mode: str = "mean") -> Dataset
 # ---------------------------------------------------------------------------
 
 def write(ds: Dataset, path) -> None:
-    lines = []
-    for row in ds.values:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write ``ds.values`` as float64 text: each cell its ``repr``, cells
+    joined by one space, each row ending in ``\\n``; zero rows write ``\\n``."""
+    values = np.asarray(ds.values, dtype=np.float64)
+    n, k = values.shape
+    text = ((" ".join(["%r"] * k) + "\n") * n) % tuple(values.ravel().tolist()) if n else "\n"
+    Path(path).write_text(text, encoding="utf-8")
+
+
+def _scan_error(path, err: ValueError) -> str:
+    """The first fault, by file line, of a file ``np.loadtxt`` rejected:
+    ``loadtxt`` counts data rows, not lines. The scan builds no array."""
+    width = None
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        try:
+            for field in fields:
+                if not field.isascii() or "_" in field:
+                    raise ValueError(field)
+                float(field)
+        except ValueError:
+            return f"{path}: non-numeric value on line {lineno}"
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            return f"{path}: expected {width} columns, found {len(fields)} on line {lineno}"
+    return f"{path}: {err}"
 
 
 def read(path, problem_id: str | None = None, column_names: list[str] | None = None,
          split: str = "all") -> Dataset:
-    text = Path(path).read_text(encoding="utf-8")
-    rows: list[list[float]] = []
-    width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split()
-        try:
-            row = [float(f) for f in fields]
-        except ValueError:
-            raise DataError(f"{path}: non-numeric value on line {lineno}") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise DataError(
-                f"{path}: expected {width} columns, found {len(row)} on line {lineno}"
-            )
-        rows.append(row)
-    if not rows:
+    """Read a dataset file written by :func:`write` (or any file in the cell
+    grammar of the module docstring) into float64 values."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(path, comments=None, ndmin=2, dtype=np.float64, encoding="utf-8")
+    except ValueError as err:
+        raise DataError(_scan_error(path, err)) from None
+    if values.shape[0] == 0:
         raise DataError(f"{path}: no data rows")
-    values = np.array(rows, dtype=np.float64)
     bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad_rows.size:
         raise DataError(f"{path}: non-finite value in data row {bad_rows[0] + 1}")
     if column_names is None:
-        column_names = [f"x{i + 1}" for i in range(width - 1)] + ["target"]
+        column_names = [f"x{i + 1}" for i in range(values.shape[1] - 1)] + ["target"]
     return Dataset(
         problem_id=problem_id or Path(path).parent.name,
         column_names=column_names,

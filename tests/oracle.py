@@ -20,15 +20,23 @@ Both share nothing with the keyroot/forest dynamic program they check.
 * :func:`recursive_skeletonize` builds a skeleton node by node, numbering
   constants as it meets them; ``skeletonize``, which decodes the tree's
   preorder tokens, must give the same labels and display indices.
+* :func:`line_write_text` and :func:`line_read_values` are the dataset
+  writer and reader as they were written before ``np.loadtxt``: one
+  ``repr`` per cell, and one ``float`` per cell of ``str.splitlines``.
+  ``datagen.write`` must give the same bytes, and ``datagen.read`` the same
+  bits or the same ``DataError`` text, on every file without underscores,
+  non-ASCII text or line separators other than ``\\n``, ``\\r\\n`` and ``\\r``.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
+from srsdkit.datagen import DataError
 from srsdkit.evalkit import TINY_TARGET
 from srsdkit.expr import Expression, SkeletonTree, evaluate_many
 
@@ -203,3 +211,38 @@ def recursive_skeletonize(expr: Expression) -> SkeletonTree:
         return SkeletonTree(node.op, tuple(walk(c) for c in node.children))
 
     return walk(expr)
+
+
+def line_write_text(values: np.ndarray) -> str:
+    lines = []
+    for row in values:
+        lines.append(" ".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def line_read_values(path) -> np.ndarray:
+    text = Path(path).read_text(encoding="utf-8")
+    rows: list[list[float]] = []
+    width = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split()
+        try:
+            row = [float(f) for f in fields]
+        except ValueError:
+            raise DataError(f"{path}: non-numeric value on line {lineno}") from None
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise DataError(
+                f"{path}: expected {width} columns, found {len(row)} on line {lineno}"
+            )
+        rows.append(row)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    values = np.array(rows, dtype=np.float64)
+    bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad_rows.size:
+        raise DataError(f"{path}: non-finite value in data row {bad_rows[0] + 1}")
+    return values

@@ -1,13 +1,19 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+from oracle import line_read_values, line_write_text
 
 from srsdkit.catalog import ProblemSpec, VariableSpec, builtin_problems, load_builtin, loguniform, uniform
 from srsdkit.datagen import (
     DataError,
+    Dataset,
     SamplingInfeasibleError,
     derive_seed,
     inject_noise,
@@ -169,6 +175,142 @@ def test_read_errors(tmp_path):
         with pytest.raises(DataError, match="non-finite") as err:
             read(non_finite)
         assert str(non_finite) in str(err.value)
+
+
+# Recorded with the one-repr-per-cell writer before the single % format.
+PINNED_WRITES = [
+    (
+        [[-0.0, 5e-324, 1e-05, 1e+16], [0.1 + 0.2, 1.7976931348623157e+308, 3.0, -2.5]],
+        np.float64,
+        "-0.0 5e-324 1e-05 1e+16\n0.30000000000000004 1.7976931348623157e+308 3.0 -2.5\n",
+    ),
+    ([[7.0]], np.float64, "7.0\n"),
+    ([[1.5], [-0.0], [1e-07]], np.float64, "1.5\n-0.0\n1e-07\n"),
+    (np.empty((0, 3)), np.float64, "\n"),
+    ([[1, 2], [3, 4]], np.int64, "1.0 2.0\n3.0 4.0\n"),
+    ([[0.1, 2.5]], np.float32, "0.10000000149011612 2.5\n"),
+]
+
+
+@pytest.mark.parametrize("rows, dtype, expected", PINNED_WRITES)
+def test_writer_bytes_are_pinned(tmp_path, rows, dtype, expected):
+    path = tmp_path / "rows.txt"
+    write(Dataset("p", [], np.array(rows, dtype=dtype)), path)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_empty_split_is_written_as_one_newline(tmp_path):
+    write_problem_dir(load_builtin("I.12.1"), tmp_path, rows=5, seed=0)
+    root = tmp_path / "I.12.1"
+    assert (root / "val.txt").read_bytes() == b"\n"
+    assert [len(read(root / name).values) for name in ("train.txt", "test.txt")] == [4, 1]
+
+
+finite_float64 = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True, width=64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6), elements=finite_float64))
+def test_write_matches_line_writer_and_reads_back_bit_exact(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("rt") / "rows.txt"
+    write(Dataset("p", [], values), path)
+    assert path.read_bytes() == line_write_text(values).encode("utf-8")
+    if values.shape[0] == 0 or values.shape[1] == 0:
+        return
+    back = read(path).values
+    assert back.dtype == np.float64 and back.shape == values.shape
+    assert (back.view(np.uint64) == values.view(np.uint64)).all()
+
+
+def _render(draw, cells: list[list[str]]) -> str:
+    """Lay out rows of cell text the ways the line reader accepted: any
+    run of spaces and tabs between and around cells, blank and
+    whitespace-only lines, and LF, CRLF or CR line endings."""
+    gap = st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"])
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = []
+    for row in cells:
+        if draw(st.booleans()):
+            lines.append(draw(pad))
+        lines.append(draw(pad) + row[0] + "".join(draw(gap) + cell for cell in row[1:]) + draw(pad))
+    return newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_read_accepts_every_layout_the_line_reader_accepted(tmp_path_factory, data):
+    values = data.draw(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5),
+                              elements=finite_float64))
+    forms = [repr, lambda x: "%.17g" % x, lambda x: "%.17e" % x, lambda x: repr(x) if repr(x)[0] == "-" else "+" + repr(x)]
+    cells = [[data.draw(st.sampled_from(forms))(float(x)) for x in row] for row in values]
+    path = tmp_path_factory.mktemp("layout") / "rows.txt"
+    path.write_bytes(_render(data.draw, cells).encode("utf-8"))
+    expected = line_read_values(path)
+    back = read(path).values
+    assert back.shape == expected.shape
+    assert (back.view(np.uint64) == expected.view(np.uint64)).all()
+    assert (back.view(np.uint64) == values.view(np.uint64)).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["1", "-2.5", "1e5", "nan", "-inf", "banana", "#", "0x1", "1e"]),
+                         min_size=0, max_size=3), min_size=0, max_size=5),
+       st.sampled_from(["\n", "\r\n"]))
+def test_read_fails_with_the_line_readers_words(tmp_path_factory, rows, newline):
+    path = tmp_path_factory.mktemp("bad") / "rows.txt"
+    path.write_bytes(newline.join(" ".join(row) for row in rows).encode("utf-8"))
+    try:
+        expected = line_read_values(path)
+    except DataError as err:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as got:
+                read(path)
+        assert str(got.value) == str(err)
+    else:
+        assert (read(path).values.view(np.uint64) == expected.view(np.uint64)).all()
+
+
+def _read_error(tmp_path, text: str) -> str:
+    path = tmp_path / "rows.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError) as err:
+            read(path)
+    return str(err.value).removeprefix(f"{path}: ")
+
+
+def test_only_blank_lines_is_no_data_rows_without_a_warning(tmp_path):
+    assert _read_error(tmp_path, "\n  \n\t\n\r\n") == "no data rows"
+    assert _read_error(tmp_path, "") == "no data rows"
+
+
+def test_read_errors_name_the_file_line(tmp_path):
+    # np.loadtxt's own messages say "row 2" and "row 1" here, counting data rows.
+    assert _read_error(tmp_path, "1 2\n\n3\n") == "expected 2 columns, found 1 on line 3"
+    assert _read_error(tmp_path, "1 2\n\n3 banana\n") == "non-numeric value on line 3"
+    assert _read_error(tmp_path, "1 2\r\n\r\n3 4 5\r\n") == "expected 2 columns, found 3 on line 3"
+
+
+def test_hash_is_a_non_numeric_cell(tmp_path):
+    assert _read_error(tmp_path, "1 2\n3 #\n") == "non-numeric value on line 2"
+    assert _read_error(tmp_path, "# x y\n1 2\n") == "non-numeric value on line 1"
+
+
+def test_underscore_and_non_ascii_digits_are_non_numeric(tmp_path):
+    # Python's float reads both; the cell grammar (np.loadtxt) does not.
+    assert float("1_0") == 10.0 and float("\u0661") == 1.0
+    assert _read_error(tmp_path, "1 2\n1_0 2\n") == "non-numeric value on line 2"
+    assert _read_error(tmp_path, "\u0661 2\n") == "non-numeric value on line 1"
+
+
+def test_only_newlines_end_a_row(tmp_path):
+    # A form feed or U+2028 separates cells; str.splitlines would end a row there.
+    path = tmp_path / "rows.txt"
+    path.write_bytes("1 2\f3 4\n5 6\u20287 8\n".encode("utf-8"))
+    assert read(path).values.tolist() == [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]
 
 
 def test_true_equation_round_trip(tmp_path):
