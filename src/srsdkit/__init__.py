@@ -22,7 +22,6 @@ from .catalog import ProblemSpec, builtin_problems, load_builtin, load_file
 from .datagen import Dataset, derive_seed, inject_noise, sample, split
 from .evalkit import (
     EvalReport,
-    evaluate_problem,
     is_symbolic_solution,
     r_squared,
     select_best,
@@ -50,7 +49,6 @@ __all__ = [
     "edit_distance",
     "evaluate",
     "evaluate_many",
-    "evaluate_problem",
     "evolve",
     "inject_noise",
     "is_symbolic_solution",

@@ -22,11 +22,12 @@ with ``np.loadtxt`` and accepts:
   underscore: ``3``, ``-0.5``, ``.5``, ``1e-05``, ``5e-324``. ``#`` starts
   no comment; it is a non-numeric cell.
 
-Every other file raises ``DataError`` with one of four texts, naming the
-file and the first fault: ``non-numeric value on line N``, ``expected W
-columns, found M on line N`` (N counts file lines, blank ones included),
-``no data rows``, and ``non-finite value in data row N`` (N counts data
-rows; ``nan`` and ``inf`` parse but are rejected).
+Every other file raises ``DataError`` with one of five texts, naming the
+file and the first fault: ``not UTF-8 text (R at byte offset B)``, ``non-numeric
+value on line N``, ``expected W columns, found M on line N`` (N counts file
+lines, blank ones included), ``no data rows``, and ``non-finite value in
+data row N`` (N counts data rows; ``nan`` and ``inf`` parse but are
+rejected). A ``true_eq.txt`` that is not UTF-8 raises the first of these.
 
 A problem directory holds train.txt / val.txt / test.txt plus true_eq.txt
 (line 1: the true skeleton in preorder tokens; line 2: its constant values
@@ -212,11 +213,19 @@ def write(ds: Dataset, path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _read_text(path) -> str:
+    """The text of ``path``, decoded as UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not UTF-8 text ({err.reason} at byte offset {err.start})") from None
+
+
 def _scan_error(path, err: ValueError) -> str:
     """The first fault, by file line, of a file ``np.loadtxt`` rejected:
     ``loadtxt`` counts data rows, not lines. The scan builds no array."""
     width = None
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
         fields = line.split()
         if not fields:
             continue
@@ -242,7 +251,7 @@ def read(path, problem_id: str | None = None, column_names: list[str] | None = N
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             values = np.loadtxt(path, comments=None, ndmin=2, dtype=np.float64, encoding="utf-8")
-    except ValueError as err:
+    except ValueError as err:  # UnicodeDecodeError among them
         raise DataError(_scan_error(path, err)) from None
     if values.shape[0] == 0:
         raise DataError(f"{path}: no data rows")
@@ -269,7 +278,7 @@ def write_true_equation(spec: ProblemSpec, path) -> None:
 def read_true_equation(path) -> Expression:
     """The valued expression of a ``true_eq.txt``: its token line decoded
     once, each ``C`` taking the next entry of the constant line."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty true-equation file")
     table = enumerate(lines[1].split() if len(lines) > 1 else [])

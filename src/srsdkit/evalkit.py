@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import BUILTIN_SETS, ProblemSpec
+from .catalog import BUILTIN_SETS
 from .datagen import Dataset
 from .expr import (
     Expression,
@@ -178,24 +178,6 @@ def evaluate_against(
             if validation is not None
             else None
         ),
-    )
-
-
-def evaluate_problem(
-    pred: Expression,
-    spec: ProblemSpec,
-    test: Dataset,
-    tau: float = DEFAULT_TAU,
-    validation: Dataset | None = None,
-) -> EvalReport:
-    return evaluate_against(
-        pred,
-        spec.canonical_expression,
-        test,
-        problem_id=spec.id,
-        set_name=spec.set_name,
-        tau=tau,
-        validation=validation,
     )
 
 

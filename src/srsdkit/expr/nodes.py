@@ -33,7 +33,11 @@ class Operator:
     """One operator. ``arity`` is None for n-ary operators (at least two
     operands). ``canonical`` operators may appear in canonical trees and in
     preorder token files. ``fault`` is true of arguments outside the domain
-    of ``scalar``, which then raises ``DomainFault(fault_message)``."""
+    of ``scalar``, which then raises ``DomainFault(fault_message)``.
+    ``hides_nonfinite`` marks the operators whose ufunc can turn a non-finite
+    operand into a finite result (``exp(-inf) == 0``, ``1 / inf == 0``,
+    ``tanh(inf) == 1``, ``pow(nan, 0) == 1``); every other ufunc returns a
+    non-finite result for any non-finite operand."""
 
     name: str
     arity: int | None
@@ -42,6 +46,7 @@ class Operator:
     ufunc: np.ufunc
     fault: Callable[..., bool] | None = None
     fault_message: str = ""
+    hides_nonfinite: bool = False
 
 
 # In canonical rank order; see the module docstring.
@@ -52,15 +57,16 @@ OPERATORS: dict[str, Operator] = {op.name: op for op in (
     Operator("mul", None, True, lambda *args: functools.reduce(operator.mul, args, 1.0), np.multiply),
     Operator("pow", 2, True, math.pow, np.power,
              lambda base, exponent: base == 0.0 and exponent < 0.0,
-             "zero raised to a negative power"),
+             "zero raised to a negative power", hides_nonfinite=True),
     Operator("sin", 1, True, math.sin, np.sin),
     Operator("cos", 1, True, math.cos, np.cos),
     Operator("tan", 1, True, math.tan, np.tan),
-    Operator("tanh", 1, True, math.tanh, np.tanh),
-    Operator("exp", 1, True, math.exp, np.exp),
+    Operator("tanh", 1, True, math.tanh, np.tanh, hides_nonfinite=True),
+    Operator("exp", 1, True, math.exp, np.exp, hides_nonfinite=True),
     Operator("log", 1, True, math.log, np.log, lambda a: a <= 0.0, "log of a non-positive value"),
     Operator("abs", 1, True, abs, np.abs),
-    Operator("div", 2, False, operator.truediv, np.divide, lambda a, b: b == 0.0, "division by zero"),
+    Operator("div", 2, False, operator.truediv, np.divide, lambda a, b: b == 0.0, "division by zero",
+             hides_nonfinite=True),
     Operator("neg", 1, False, operator.neg, np.negative),
     Operator("sqrt", 1, False, math.sqrt, np.sqrt, lambda a: a < 0.0, "sqrt of a negative value"),
 )}

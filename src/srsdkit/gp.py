@@ -12,7 +12,8 @@ Individuals are flat preorder programs (see :func:`.expr.to_program`), as in
 gplearn's ``_Program``: a tuple of tokens in which each subtree is a
 contiguous slice, found by counting operands. Crossover and subtree mutation
 splice slices, depth comes from one pass over the tokens, and fitness calls
-``evaluate_many`` on the program itself. The trees are raw: ``sub`` builds an
+``evaluate_many`` on the program itself, over a column-major copy of the
+training values made once per run. The trees are raw: ``sub`` builds an
 add/negate pair, and ``div`` survives until canonicalization. Only the top-k
 that :func:`evolve` returns are built as ``Expression`` trees.
 
@@ -26,7 +27,9 @@ program in it reuses that score.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .datagen import Dataset
 from .evalkit import relative_error_score
@@ -231,8 +234,22 @@ def _memo_fitness(known: dict[tuple, float], program: tuple, train: Dataset) -> 
 
 
 def _tournament(population: list[Individual], rng: random.Random, k: int) -> Individual:
-    picks = [population[rng.randrange(len(population))] for _ in range(k)]
-    return min(picks, key=lambda ind: ind.fitness)
+    """The fittest of ``k`` individuals drawn with replacement, the first
+    drawn on a tie. Each index is drawn as ``rng.randrange(len(population))``
+    draws it on CPython 3.10 to 3.13: ``getrandbits`` of the length's bit
+    count, redrawn until it is below the length."""
+    n = len(population)
+    bits = n.bit_length()
+    getrandbits = rng.getrandbits
+    best = None
+    for _ in range(k):
+        i = getrandbits(bits)
+        while i >= n:
+            i = getrandbits(bits)
+        pick = population[i]
+        if best is None or pick.fitness < best.fitness:
+            best = pick
+    return best
 
 
 def evolve(train: Dataset, config: GPConfig) -> list[Expression]:
@@ -242,6 +259,9 @@ def evolve(train: Dataset, config: GPConfig) -> list[Expression]:
     n_vars = train.X.shape[1]
     if n_vars == 0:
         raise ValueError("training dataset has no input columns")
+    # Column-major, so every column and the target are contiguous: the
+    # ufuncs read them faster than strided views, with the same bits.
+    train = replace(train, values=np.asfortranarray(train.values))
     rng = random.Random(config.seed)
     factory = _TreeFactory(config, n_vars, rng)
 

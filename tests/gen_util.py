@@ -57,6 +57,25 @@ def random_expression(rng: random.Random, max_depth=4, n_vars=3) -> Expression:
     return op_node(rng.choice(UNARY), sub())
 
 
+# Every operator with its arity (None: n-ary), listed here rather than read
+# from the operator table under test.
+ALL_OPERATORS = [("add", None), ("mul", None), ("pow", 2), ("div", 2), ("sin", 1), ("cos", 1),
+                 ("tan", 1), ("tanh", 1), ("exp", 1), ("log", 1), ("abs", 1), ("neg", 1),
+                 ("sqrt", 1)]
+
+
+def random_raw_expression(rng: random.Random, max_depth=5, n_vars=3) -> Expression:
+    """Seeded tree over all 13 operators, each equally likely, with any
+    subtree as either operand of ``pow`` and ``div``."""
+    if max_depth <= 1 or rng.random() < 0.25:
+        if rng.random() < 0.3:
+            return const(rng.choice(CONSTANT_POOL))
+        return var(rng.randrange(n_vars))
+    name, arity = rng.choice(ALL_OPERATORS)
+    n = rng.choice([2, 2, 3]) if arity is None else arity
+    return op_node(name, *(random_raw_expression(rng, max_depth - 1, n_vars) for _ in range(n)))
+
+
 SKELETON_LABELS = ["add", "mul", "pow", "sin", "cos", "exp", "log", "C", "X1", "X2", "X3"]
 
 

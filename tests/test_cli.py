@@ -129,6 +129,18 @@ def test_eval_prediction_with_missing_variable_is_data_error(tmp_path, easy_data
     assert "I.12.1" in err and "X9" in err
 
 
+@pytest.mark.parametrize("name", ["test.txt", "true_eq.txt"])
+def test_eval_of_a_file_that_is_not_utf8_is_data_error(tmp_path, easy_data, capsys, name):
+    data = tmp_path / "data"
+    shutil.copytree(easy_data, data)
+    path = data / "I.12.1" / name
+    text = path.read_bytes()
+    path.write_bytes(text[:5] + b"\xff" + text[5:])
+    code, _, err = run(capsys, "eval", "--pred-dir", str(data), "--data-dir", str(data))
+    assert code == 2
+    assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte offset 5)\n"
+
+
 def test_deeply_nested_expression_is_data_error(tmp_path, easy_data, capsys):
     deep = "sin " * 3000 + "X1\n"
     pred = tmp_path / "deep.txt"

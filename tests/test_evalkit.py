@@ -12,7 +12,7 @@ from srsdkit.evalkit import (
     NoViableCandidateError,
     ZeroVarianceError,
     accuracy_rate,
-    evaluate_problem,
+    evaluate_against,
     is_symbolic_solution,
     r_squared,
     relative_error_score,
@@ -219,7 +219,8 @@ def test_select_best_permutation_invariance():
 def test_evaluate_problem_exact_prediction():
     spec = load_builtin("I.12.1")
     train, val, test = split(sample(spec, 1000, 3))
-    report = evaluate_problem(spec.expression, spec, test, validation=val)
+    report = evaluate_against(spec.expression, spec.canonical_expression, test, spec.id,
+                              spec.set_name, validation=val)
     assert report.normalized_edit_distance == 0.0
     assert report.symbolic_solution
     assert report.r_squared == 1.0
@@ -231,7 +232,7 @@ def test_evaluate_problem_partial_structure_match():
     spec = load_builtin("I.12.4")
     _, _, test = split(sample(spec, 1000, 3))
     pred = parse("0.37 * r^-1.8", ["q1", "r"])
-    report = evaluate_problem(pred, spec, test)
+    report = evaluate_against(pred, spec.canonical_expression, test, spec.id, spec.set_name)
     assert report.normalized_edit_distance == pytest.approx(0.167, abs=5e-4)
     assert not report.symbolic_solution
 
@@ -239,7 +240,8 @@ def test_evaluate_problem_partial_structure_match():
 def test_evaluate_problem_faulting_prediction_scores_minus_inf():
     spec = load_builtin("I.12.4")  # q1 takes both signs, so log(q1) faults
     _, _, test = split(sample(spec, 1000, 3))
-    report = evaluate_problem(parse("log(q1)", ["q1", "r"]), spec, test)
+    report = evaluate_against(parse("log(q1)", ["q1", "r"]), spec.canonical_expression, test,
+                              spec.id, spec.set_name)
     assert report.r_squared == -math.inf
     assert not report.accuracy_hit
 
@@ -248,7 +250,7 @@ def test_ned_zero_implies_solution_for_constant_position_disagreements():
     spec = load_builtin("I.14.3")
     _, _, test = split(sample(spec, 500, 6))
     pred = parse("3.3 * m * z", ["m", "z"])
-    report = evaluate_problem(pred, spec, test)
+    report = evaluate_against(pred, spec.canonical_expression, test, spec.id, spec.set_name)
     assert report.normalized_edit_distance == 0.0
     assert report.symbolic_solution
 

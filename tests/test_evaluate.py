@@ -1,9 +1,11 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
 from srsdkit.expr import (
+    OPERATORS,
     DomainFault,
     VariableIndexError,
     const,
@@ -19,7 +21,7 @@ from srsdkit.expr import (
     var,
 )
 
-from gen_util import random_expression
+from gen_util import random_expression, random_raw_expression
 from oracle import recursive_evaluate_many
 
 
@@ -109,20 +111,69 @@ def test_evaluators_agree_on_random_expressions():
 def test_evaluate_many_is_bit_identical_to_recursive_oracle():
     rng = random.Random(321)
     data = np.random.default_rng(321)
-    faulted = 0
-    for _ in range(400):
-        e = random_expression(rng, max_depth=6)
-        # Wide magnitudes so that overflow, division by zero and domain
-        # faults all occur, both at the root and inside the tree.
-        X = data.uniform(-3, 3, (64, 3)) * np.exp(data.uniform(-8, 8, (64, 3)))
-        X[data.random(64) < 0.1, 0] = 0.0
+    extremes = np.array([1e300, -1e300, 700.0, -700.0, 1e-300])
+    faulted = hidden = 0
+    for trial in range(1200):
+        if trial < 400:
+            e = random_expression(rng, max_depth=6)
+            # Wide magnitudes so that overflow, division by zero and domain
+            # faults all occur, both at the root and inside the tree.
+            X = data.uniform(-3, 3, (64, 3)) * np.exp(data.uniform(-8, 8, (64, 3)))
+            X[data.random(64) < 0.1, 0] = 0.0
+        else:
+            # All 13 operators on columns of extreme magnitude, so that
+            # non-finite intermediates occur and some come out finite
+            # (exp(-inf), x / inf, tanh(inf), pow(nan, 0)).
+            e = random_raw_expression(rng, max_depth=5)
+            X = data.uniform(-3, 3, (64, 3))
+            pick = data.random((64, 3)) < 0.5
+            X[pick] = data.choice(extremes, pick.sum())
         want_values, want_bad = recursive_evaluate_many(e, X)
         for arg in (e, to_program(e)):
             values, bad = evaluate_many(arg, X)
             assert bad.tolist() == want_bad.tolist()
             assert values[~bad].view(np.int64).tolist() == want_values[~want_bad].view(np.int64).tolist()
         faulted += bad.any()
-    assert faulted > 50
+        # A faulting row with a finite root value: the non-finite value
+        # vanished inside the tree, so only a check below the root flags it.
+        hidden += (want_bad & np.isfinite(want_values)).any()
+    assert faulted > 250
+    assert hidden > 40
+
+
+PROBES = [0.0, 1.0, -1.0, 1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("name", list(OPERATORS))
+def test_only_hides_nonfinite_operators_turn_a_nonfinite_operand_finite(name):
+    # evaluate_many checks isfinite only at the root and on the operator
+    # results that a hides_nonfinite operator takes; that is exact only if
+    # every other ufunc keeps any non-finite operand non-finite.
+    spec = OPERATORS[name]
+    arity = spec.arity or 2
+    cases = [
+        tuple(bad if i == position else other for i in range(arity))
+        for position in range(arity)
+        for bad in (math.inf, -math.inf, math.nan)
+        for other in PROBES
+    ]
+    with np.errstate(all="ignore"):
+        # One call over every case, as the SIMD loops see it, and one per case.
+        batch = spec.ufunc(*np.array(cases).T)
+        single = np.array([spec.ufunc(*np.array(case)[:, None])[0] for case in cases])
+    assert np.isfinite(batch).tolist() == np.isfinite(single).tolist()
+    hiding = [case for case, value in zip(cases, single) if math.isfinite(value)]
+    assert bool(hiding) == spec.hides_nonfinite, hiding
+
+
+def test_evaluate_many_checks_a_variable_only_at_the_root():
+    # Data files hold finite cells only; on other input a variable leaf below
+    # the root is not checked, as in the recursive oracle.
+    X = np.array([[-math.inf, math.inf], [1.0, 2.0]])
+    for e in (op_node("exp", var(0)), div(const(1.0), var(1)), op_node("tanh", var(1))):
+        bad = evaluate_many(e, X)[1]
+        assert bad.tolist() == recursive_evaluate_many(e, X)[1].tolist() == [False, False]
+    assert evaluate_many(var(1), X)[1].tolist() == [True, False]
 
 
 def test_evaluate_many_deep_chain_does_not_recurse():

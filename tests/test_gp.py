@@ -258,3 +258,18 @@ def test_no_tree_is_scored_twice_in_one_generation(monkeypatch):
         assert this_generation
         assert len(set(this_generation)) == len(this_generation)
         previous = len(scored)
+
+
+def test_tournament_draws_as_randrange_does():
+    # _tournament draws its indices with getrandbits, as CPython's
+    # randrange(n) does; the same stream keeps every run's RNG calls.
+    for seed in (0, 1, 12345):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in range(1, 1101):
+            population = [gp.Individual((float(i),), float(i % 7)) for i in range(n)]
+            for k in (1, 5):
+                pick = gp._tournament(population, ours, k)
+                picks = [population[theirs.randrange(n)] for _ in range(k)]
+                # The first of the fittest drawn, as min() picks it.
+                assert pick is min(picks, key=lambda ind: ind.fitness)
+        assert ours.getstate() == theirs.getstate()
