@@ -148,7 +148,7 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _read_expression_line(path) -> str:
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in datagen.read_text(path).splitlines():
         if line.strip():
             return line
     raise datagen.DataError(f"{path}: no expression line")
@@ -184,7 +184,7 @@ def _set_names_from_manifest(root: Path) -> dict[str, str]:
     manifest = root / "manifest.json"
     names: dict[str, str] = {}
     if manifest.is_file():
-        payload = json.loads(manifest.read_text(encoding="utf-8"))
+        payload = json.loads(datagen.read_text(manifest))
         for entry in payload.get("problems", []):
             if "id" in entry and "set" in entry:
                 names[entry["id"]] = entry["set"]
@@ -330,26 +330,48 @@ def cmd_synth(args) -> int:
 # leakcheck
 # ---------------------------------------------------------------------------
 
+_SPLIT_FILES = ("train.txt", "val.txt", "test.txt")
+
+
 def _leakage_items(root: Path) -> list[synthgen.LeakageItem]:
+    """An item per problem directory under ``root``, with its skeleton and
+    no ranges yet; a directory without dataset files is a data error."""
     items = []
     for pdir in _problem_dirs(root):
         skeleton = skeletonize(datagen.read_true_equation(pdir / "true_eq.txt"))
-        chunks = []
-        for name in ("train.txt", "val.txt", "test.txt"):
-            path = pdir / name
-            if path.is_file():
-                chunks.append(datagen.read(path, problem_id=pdir.name).values)
-        if not chunks:
+        if not any((pdir / name).is_file() for name in _SPLIT_FILES):
             raise datagen.DataError(f"{pdir}: no dataset files")
-        ranges = synthgen.observed_ranges(np.concatenate(chunks, axis=0)[:, :-1])
-        items.append(synthgen.LeakageItem(id=pdir.name, skeleton=skeleton, ranges=ranges))
+        items.append(synthgen.LeakageItem(id=pdir.name, skeleton=skeleton, ranges=None))
     return items
 
 
+def _with_ranges(root: Path, items: list[synthgen.LeakageItem],
+                 shared: set) -> list[synthgen.LeakageItem]:
+    """``items`` with the observed ranges of every item whose skeleton key is
+    in ``shared``; the data files of the others are not read."""
+    out = []
+    for item in items:
+        if synthgen.skeleton_key(item.skeleton) in shared:
+            pdir = root / item.id
+            chunks = [datagen.read(pdir / name, problem_id=item.id).values
+                      for name in _SPLIT_FILES if (pdir / name).is_file()]
+            ranges = synthgen.observed_ranges(np.concatenate(chunks, axis=0)[:, :-1])
+            item = dataclasses.replace(item, ranges=ranges)
+        out.append(item)
+    return out
+
+
 def cmd_leakcheck(args) -> int:
-    corpus = _leakage_items(Path(args.corpus))
-    targets = _leakage_items(Path(args.catalog))
-    result = synthgen.leakage_report(corpus, targets)
+    # Skeletons first: only problems whose skeleton the other side shares
+    # need their data files read.
+    corpus_root, target_root = Path(args.corpus), Path(args.catalog)
+    corpus = _leakage_items(corpus_root)
+    targets = _leakage_items(target_root)
+    shared = ({synthgen.skeleton_key(i.skeleton) for i in corpus}
+              & {synthgen.skeleton_key(i.skeleton) for i in targets})
+    result = synthgen.leakage_report(
+        _with_ranges(corpus_root, corpus, shared), _with_ranges(target_root, targets, shared)
+    )
     payload = {
         "mean_iou": result.mean_iou,
         "mean_of_mean_iou": result.mean_of_mean_iou,
@@ -375,7 +397,7 @@ def _load_gp_config(path: str | None, seed: int) -> gp.GPConfig:
     fields = {"seed": seed}
     if path:
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            payload = json.loads(datagen.read_text(path))
         except json.JSONDecodeError as err:
             raise datagen.DataError(f"{path}: not valid JSON: {err}") from None
         known = set(gp.GPConfig.__dataclass_fields__)

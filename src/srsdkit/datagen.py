@@ -213,8 +213,10 @@ def write(ds: Dataset, path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _read_text(path) -> str:
-    """The text of ``path``, decoded as UTF-8."""
+def read_text(path) -> str:
+    """The text of ``path``, decoded as UTF-8; any other bytes raise
+    ``DataError``. Data files, ``true_eq.txt``, expression files, manifests
+    and GP configs are read through here."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
@@ -225,7 +227,7 @@ def _scan_error(path, err: ValueError) -> str:
     """The first fault, by file line, of a file ``np.loadtxt`` rejected:
     ``loadtxt`` counts data rows, not lines. The scan builds no array."""
     width = None
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         fields = line.split()
         if not fields:
             continue
@@ -278,7 +280,7 @@ def write_true_equation(spec: ProblemSpec, path) -> None:
 def read_true_equation(path) -> Expression:
     """The valued expression of a ``true_eq.txt``: its token line decoded
     once, each ``C`` taking the next entry of the constant line."""
-    lines = _read_text(path).splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty true-equation file")
     table = enumerate(lines[1].split() if len(lines) > 1 else [])

@@ -33,7 +33,7 @@ import numpy as np
 
 from .datagen import Dataset
 from .evalkit import relative_error_score
-from .expr import OPERATORS, Expression, from_program, operand_count, operator_token
+from .expr import OPERATORS, Expression, from_program, operator_token
 
 DEFAULT_OPERATORS = ("add", "sub", "mul", "div", "sin", "cos", "exp", "log")
 
@@ -138,12 +138,18 @@ class _TreeFactory:
         return tuple(out) if _depth(out) <= self.config.max_depth else (self.terminal(),)
 
 
+# The three walks below read a token's operand count inline, as
+# ``expr.operand_count`` does: a float or a 1-tuple takes none, an operator
+# ``token[1]``. They run once per child, and a call per token cost more
+# than the rest of the walk.
+
 def _subtree_end(program, start: int) -> int:
     """End of the slice holding the subtree that starts at ``start``."""
     end = start
     pending = 1
     while pending:
-        pending += operand_count(program[end]) - 1
+        token = program[end]
+        pending += (0 if type(token) is float or len(token) == 1 else token[1]) - 1
         end += 1
     return end
 
@@ -155,9 +161,8 @@ def _depth(program) -> int:
     for token in program:
         if len(open_ops) >= deepest:
             deepest = len(open_ops) + 1
-        k = operand_count(token)
-        if k:
-            open_ops.append(k)
+        if type(token) is not float and len(token) != 1:
+            open_ops.append(token[1])
             continue
         while open_ops:
             open_ops[-1] -= 1
@@ -171,9 +176,8 @@ def _postorder(program):
     """Indices of ``program``'s tokens in postorder, children left to right."""
     open_ops: list[list[int]] = []  # [index, operands still due]
     for i, token in enumerate(program):
-        k = operand_count(token)
-        if k:
-            open_ops.append([i, k])
+        if type(token) is not float and len(token) != 1:
+            open_ops.append([i, token[1]])
             continue
         yield i
         while open_ops:

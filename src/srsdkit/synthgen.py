@@ -12,11 +12,18 @@ variable independently and sampling that variable log-uniformly from
 [10^(k-1), 10^(k+1)].
 
 The leakage checker compares a synthetic corpus against benchmark problems.
-Skeletons match when their preorder tokens are equal (NED = 0); only for
-matching pairs is the per-variable interval IoU of the observed sample
-ranges computed. Benchmark sets can contain skeleton-duplicate problems with
-different ranges, so the per-equation figure is the worst case (max) over
-matching pairs; the mean over pairs is also reported.
+Skeletons match when their preorder tokens are equal (NED = 0, the
+:func:`skeleton_key`); only for matching pairs is the per-variable interval
+IoU of the observed sample ranges computed. Benchmark sets can contain
+skeleton-duplicate problems with different ranges, so the per-equation figure
+is the worst case (max) over matching pairs; the mean over pairs is also
+reported.
+
+Since only matched items need ranges, an item may carry ``ranges=None``.
+``srsdkit leakcheck`` decodes every ``true_eq.txt`` of both roots first and
+reads ``train.txt``/``val.txt``/``test.txt`` only of problems whose skeleton
+key occurs on both sides; the data files of the other problems are not
+opened, so they are not validated either.
 """
 
 from __future__ import annotations
@@ -208,13 +215,20 @@ def observed_ranges(X: np.ndarray) -> tuple[tuple[float, float], ...]:
     return tuple((float(col.min()), float(col.max())) for col in X.T)
 
 
+def skeleton_key(skeleton: SkeletonTree) -> tuple[str, ...]:
+    """The leakage join key: two skeletons match (NED = 0) exactly when
+    their preorder tokens are equal."""
+    return tuple(to_preorder(skeleton))
+
+
 @dataclass(frozen=True)
 class LeakageItem:
-    """One side of a leakage comparison: a skeleton plus observed ranges."""
+    """One side of a leakage comparison: a skeleton plus observed ranges,
+    which may be ``None`` for an item no item of the other side matches."""
 
     id: str
     skeleton: "SkeletonTree"
-    ranges: tuple[tuple[float, float], ...]
+    ranges: tuple[tuple[float, float], ...] | None
 
     @classmethod
     def from_dataset(cls, spec: ProblemSpec, ds: Dataset) -> "LeakageItem":
@@ -247,22 +261,29 @@ class LeakageResult:
     mean_of_mean_iou: float   # mean over targets of the mean pair IoU
 
 
+def _ranges(item: LeakageItem) -> tuple[tuple[float, float], ...]:
+    if item.ranges is None:
+        raise ValueError(f"{item.id}: a skeleton match needs its observed ranges")
+    return item.ranges
+
+
 def leakage_report(
     corpus: list[LeakageItem],
     targets: list[LeakageItem],
 ) -> LeakageResult:
+    """Join ``corpus`` and ``targets`` on :func:`skeleton_key` and compare the
+    ranges of each matched pair; an unmatched item's ranges are never read."""
     if not corpus or not targets:
         raise ValueError("leakage check needs a nonempty corpus and target list")
-    # Skeletons match (NED = 0) exactly when their preorder tokens are equal.
     by_skeleton: dict[tuple[str, ...], list[LeakageItem]] = {}
     for synth in corpus:
-        by_skeleton.setdefault(tuple(to_preorder(synth.skeleton)), []).append(synth)
+        by_skeleton.setdefault(skeleton_key(synth.skeleton), []).append(synth)
     pairs: list[LeakagePair] = []
     per_equation: list[EquationLeakage] = []
     for target in targets:
         match_ious: list[float] = []
-        for synth in by_skeleton.get(tuple(to_preorder(target.skeleton)), ()):
-            ious = tuple(domain_iou(a, b) for a, b in zip(synth.ranges, target.ranges))
+        for synth in by_skeleton.get(skeleton_key(target.skeleton), ()):
+            ious = tuple(domain_iou(a, b) for a, b in zip(_ranges(synth), _ranges(target)))
             pair_iou = sum(ious) / len(ious) if ious else 0.0
             match_ious.append(pair_iou)
             pairs.append(LeakagePair(target.id, synth.id, ious, pair_iou))

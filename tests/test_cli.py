@@ -2,9 +2,11 @@ import filecmp
 import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
+from srsdkit import datagen
 from srsdkit.cli import main
 
 
@@ -141,6 +143,54 @@ def test_eval_of_a_file_that_is_not_utf8_is_data_error(tmp_path, easy_data, caps
     assert err == f"error: {path}: not UTF-8 text (invalid start byte at byte offset 5)\n"
 
 
+def _put_ff(path, text: bytes) -> str:
+    """Write ``text`` to ``path`` with a 0xff byte at offset 5; the error
+    line the CLI should print for it."""
+    path.write_bytes(text[:5] + b"\xff" + text[5:])
+    return f"error: {path}: not UTF-8 text (invalid start byte at byte offset 5)\n"
+
+
+def test_eval_of_a_prediction_that_is_not_utf8_is_data_error(tmp_path, easy_data, capsys):
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    expected = _put_ff(preds / "I.12.1.txt", b"mul2 X1 X2\n")
+    code, _, err = run(capsys, "eval", "--pred-dir", str(preds), "--data-dir", str(easy_data))
+    assert code == 2
+    assert err == expected
+
+
+@pytest.mark.parametrize("side", ["--pred", "--truth"])
+def test_ned_of_a_file_that_is_not_utf8_is_data_error(tmp_path, capsys, side):
+    good = tmp_path / "good.txt"
+    good.write_text("mul2 X1 X2\n")
+    bad = tmp_path / "bad.txt"
+    expected = _put_ff(bad, b"mul2 X1 X2\n")
+    files = {"--pred": good, "--truth": good, side: bad}
+    code, _, err = run(capsys, "ned", "--pred", str(files["--pred"]),
+                       "--truth", str(files["--truth"]))
+    assert code == 2
+    assert err == expected
+
+
+def test_eval_with_a_manifest_that_is_not_utf8_is_data_error(tmp_path, easy_data, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(easy_data, data)
+    manifest = data / "manifest.json"
+    expected = _put_ff(manifest, manifest.read_bytes())
+    code, _, err = run(capsys, "eval", "--pred-dir", str(data), "--data-dir", str(data))
+    assert code == 2
+    assert err == expected
+
+
+def test_discover_with_a_gp_config_that_is_not_utf8_is_data_error(tmp_path, easy_data, capsys):
+    cfg = tmp_path / "gp.json"
+    expected = _put_ff(cfg, b'{"generations": 1}')
+    code, _, err = run(capsys, "discover", "--data-dir", str(easy_data),
+                       "--gp-config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err == expected
+
+
 def test_deeply_nested_expression_is_data_error(tmp_path, easy_data, capsys):
     deep = "sin " * 3000 + "X1\n"
     pred = tmp_path / "deep.txt"
@@ -247,6 +297,106 @@ def test_leakcheck_output_is_pinned(tmp_path, easy_data, capsys):
         assert code == 0
         digests[name] = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digests == LEAKCHECK_DIGESTS
+
+
+@pytest.fixture(scope="module")
+def synth_corpus(tmp_path_factory):
+    """The synthetic corpus of the ``synth`` digest: no skeleton it holds
+    occurs in the easy set."""
+    root = tmp_path_factory.mktemp("synth") / "corpus"
+    assert main(["synth", "--n", "5", "--seed", "2", "--rows", "120", "--out", str(root)]) == 0
+    return root
+
+
+def _spy_reads(monkeypatch) -> list:
+    """Record the path of every dataset file the CLI reads."""
+    reads = []
+    original = datagen.read
+
+    def spy(path, *args, **kwargs):
+        reads.append(Path(path))
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(datagen, "read", spy)
+    return reads
+
+
+def _skeleton_lines(root) -> dict:
+    """Problem directory -> line 1 of its ``true_eq.txt`` (the skeleton's tokens)."""
+    return {p.parent: p.read_text().splitlines()[0] for p in root.glob("*/true_eq.txt")}
+
+
+def test_leakcheck_reads_data_files_only_of_skeleton_matches(
+        tmp_path, easy_data, synth_corpus, capsys, monkeypatch):
+    corpus = tmp_path / "mixed"
+    shutil.copytree(synth_corpus, corpus)
+    for pid in ("I.12.1", "I.14.4"):
+        shutil.copytree(easy_data / pid, corpus / pid)
+    corpus_lines, easy_lines = _skeleton_lines(corpus), _skeleton_lines(easy_data)
+    shared = set(corpus_lines.values()) & set(easy_lines.values())
+    matched = {d for lines in (corpus_lines, easy_lines) for d, line in lines.items()
+               if line in shared}
+    assert 4 <= len(matched) < len(corpus_lines) + len(easy_lines)
+
+    reads = _spy_reads(monkeypatch)
+    code, out, _ = run(capsys, "leakcheck", "--corpus", str(corpus),
+                       "--catalog", str(easy_data))
+    assert code == 0
+    assert sorted(reads) == sorted(d / name for d in matched
+                                   for name in ("train.txt", "val.txt", "test.txt"))
+    assert sum(e["n_matches"] for e in json.loads(out)["per_equation"]) >= 2
+
+    reads.clear()
+    code, _, _ = run(capsys, "leakcheck", "--corpus", str(easy_data),
+                     "--catalog", str(easy_data))
+    assert code == 0
+    assert len(reads) == 2 * 3 * 30  # every file, once per side
+
+
+def test_leakcheck_without_a_match_reads_no_data_file(easy_data, synth_corpus, capsys,
+                                                       monkeypatch):
+    reads = _spy_reads(monkeypatch)
+    code, out, _ = run(capsys, "leakcheck", "--corpus", str(synth_corpus),
+                       "--catalog", str(easy_data))
+    assert code == 0
+    assert reads == []
+    payload = json.loads(out)
+    assert payload["mean_iou"] == payload["mean_of_mean_iou"] == 0.0
+    assert {e["n_matches"] for e in payload["per_equation"]} == {0}
+
+
+def test_leakcheck_validates_data_files_only_of_skeleton_matches(
+        tmp_path, easy_data, synth_corpus, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(synth_corpus, corpus)
+    unmatched = sorted(_skeleton_lines(synth_corpus))[0].name
+    (corpus / unmatched / "test.txt").write_text("1 nan\n")
+    code, out, _ = run(capsys, "leakcheck", "--corpus", str(corpus),
+                       "--catalog", str(easy_data))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LEAKCHECK_DIGESTS["synth"]
+
+    # The same corruption in a problem whose skeleton the easy set shares.
+    shutil.copytree(easy_data / "I.12.1", corpus / "I.12.1")
+    bad = corpus / "I.12.1" / "test.txt"
+    bad.write_text("1 nan\n")
+    code, _, err = run(capsys, "leakcheck", "--corpus", str(corpus),
+                       "--catalog", str(easy_data))
+    assert code == 2
+    assert err == f"error: {bad}: non-finite value in data row 1\n"
+
+
+def test_leakcheck_of_a_problem_without_data_files_is_data_error(
+        tmp_path, easy_data, synth_corpus, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(synth_corpus, corpus)
+    empty = sorted(_skeleton_lines(synth_corpus))[0].name  # matches no easy skeleton
+    for name in ("train.txt", "val.txt", "test.txt"):
+        (corpus / empty / name).unlink()
+    code, _, err = run(capsys, "leakcheck", "--corpus", str(corpus),
+                       "--catalog", str(easy_data))
+    assert code == 2
+    assert err == f"error: {corpus / empty}: no dataset files\n"
 
 
 def test_discover_and_eval_roundtrip(tmp_path, easy_data, capsys):

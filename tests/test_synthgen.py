@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +18,7 @@ from srsdkit.synthgen import (
     leakage_report,
     range_exponent,
     sample_equation,
+    skeleton_key,
     train_bigram,
 )
 
@@ -179,6 +182,29 @@ def test_leakage_partial_overlap_value():
     (pair,) = result.pairs
     assert 0.0 < pair.iou < 0.2
     assert result.mean_iou == pair.iou
+
+
+def _unread(item):
+    return dataclasses.replace(item, ranges=None)
+
+
+def test_leakage_reads_ranges_only_of_matched_items():
+    corpus = _items(["I.12.1", "I.27.6"])
+    targets = _items(["I.12.5", "I.18.16"])  # only I.12.1 and I.12.5 match
+    assert skeleton_key(corpus[0].skeleton) == skeleton_key(targets[0].skeleton)
+    full = leakage_report(corpus, targets)
+    assert leakage_report([corpus[0], _unread(corpus[1])],
+                          [targets[0], _unread(targets[1])]) == full
+    with pytest.raises(ValueError, match="I.12.1"):
+        leakage_report([_unread(corpus[0]), corpus[1]], targets)
+    with pytest.raises(ValueError, match="I.12.5"):
+        leakage_report(corpus, [_unread(targets[0]), targets[1]])
+
+
+def test_leakage_without_a_match_reads_no_ranges():
+    result = leakage_report([_unread(i) for i in _items(["I.27.6"])],
+                            [_unread(i) for i in _items(["I.18.16"])])
+    assert (result.mean_iou, result.mean_of_mean_iou, result.pairs) == (0.0, 0.0, [])
 
 
 def test_leakage_requires_nonempty_inputs():
