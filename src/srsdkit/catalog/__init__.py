@@ -204,7 +204,13 @@ def loads(text: str, source="<string>") -> list[ProblemSpec]:
 
 
 def load_file(path) -> list[ProblemSpec]:
-    return loads(Path(path).read_text(encoding="utf-8"), source=str(path))
+    """The specs of a catalog JSON file; a file that is not UTF-8 raises
+    ``CatalogError`` in the words of ``datagen.read_text``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise CatalogError(f"{path}: not UTF-8 text ({err.reason} at byte offset {err.start})") from None
+    return loads(text, source=str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -214,11 +214,9 @@ def cmd_eval(args) -> int:
             skipped.append(pid)
             continue
         truth = datagen.read_true_equation(pdir / "true_eq.txt")
-        test = datagen.read(pdir / "test.txt", problem_id=pid, split="test")
+        test = datagen.read(pdir / "test.txt")
         val_path = pdir / "val.txt"
-        validation = (
-            datagen.read(val_path, problem_id=pid, split="val") if val_path.is_file() else None
-        )
+        validation = datagen.read(val_path) if val_path.is_file() else None
         try:
             report = evalkit.evaluate_against(
                 pred,
@@ -348,13 +346,19 @@ def _leakage_items(root: Path) -> list[synthgen.LeakageItem]:
 def _with_ranges(root: Path, items: list[synthgen.LeakageItem],
                  shared: set) -> list[synthgen.LeakageItem]:
     """``items`` with the observed ranges of every item whose skeleton key is
-    in ``shared``; the data files of the others are not read."""
+    in ``shared``; the data files of the others are not read. Split files
+    of different widths are a data error."""
     out = []
     for item in items:
         if synthgen.skeleton_key(item.skeleton) in shared:
-            pdir = root / item.id
-            chunks = [datagen.read(pdir / name, problem_id=item.id).values
-                      for name in _SPLIT_FILES if (pdir / name).is_file()]
+            paths = [root / item.id / name for name in _SPLIT_FILES]
+            paths = [path for path in paths if path.is_file()]
+            chunks = [datagen.read(path).values for path in paths]
+            width = chunks[0].shape[1]
+            for path, chunk in zip(paths, chunks):
+                if chunk.shape[1] != width:
+                    raise datagen.DataError(f"{path}: expected {width} columns as in "
+                                            f"{paths[0].name}, found {chunk.shape[1]}")
             ranges = synthgen.observed_ranges(np.concatenate(chunks, axis=0)[:, :-1])
             item = dataclasses.replace(item, ranges=ranges)
         out.append(item)
@@ -418,8 +422,8 @@ def _discover_one(args):
     pdir_text, base_config, n_seeds = args
     pdir = Path(pdir_text)
     pid = pdir.name
-    train = datagen.read(pdir / "train.txt", problem_id=pid, split="train")
-    val = datagen.read(pdir / "val.txt", problem_id=pid, split="val")
+    train = datagen.read(pdir / "train.txt")
+    val = datagen.read(pdir / "val.txt")
     candidates = []
     for offset in range(n_seeds):
         config = dataclasses.replace(base_config, seed=base_config.seed + offset)
@@ -429,6 +433,8 @@ def _discover_one(args):
     except evalkit.NoViableCandidateError:
         return {"id": pid, "expression": None, "selection_score": None}
     best_canonical = canonicalize(best)
+    # The manifest reports the canonical tree's score, which can differ in the
+    # last bits from select_best's score of the raw tree.
     score = evalkit.relative_error_score(best_canonical, val.X, val.y)
     return {
         "id": pid,

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import warnings
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -77,11 +77,10 @@ class SamplingInfeasibleError(DataError):
 
 @dataclass
 class Dataset:
-    problem_id: str
-    column_names: list[str]
+    """A table of float64 rows; which problem and split it holds is known
+    only to the caller."""
+
     values: np.ndarray  # (n, k+1); last column is the target
-    split: str = "all"
-    noise_level: float = 0.0
 
     @property
     def n_rows(self) -> int:
@@ -152,13 +151,7 @@ def sample(spec: ProblemSpec, n: int, seed) -> Dataset:
             raise SamplingInfeasibleError(
                 f"{spec.id}: rejection rate above 99% ({accepted}/{drawn} accepted)"
             )
-    values = np.concatenate(chunks, axis=0)[:n]
-    return Dataset(
-        problem_id=spec.id,
-        column_names=list(spec.column_names),
-        values=values,
-        split="all",
-    )
+    return Dataset(np.concatenate(chunks, axis=0)[:n])
 
 
 def split(ds: Dataset, ratios=DEFAULT_RATIOS) -> tuple[Dataset, Dataset, Dataset]:
@@ -171,10 +164,7 @@ def split(ds: Dataset, ratios=DEFAULT_RATIOS) -> tuple[Dataset, Dataset, Dataset
     n_train = int(n * ratios[0])
     n_val = int(n * ratios[1])
     bounds = (0, n_train, n_train + n_val, n)
-    parts = []
-    for tag, lo, hi in zip(("train", "val", "test"), bounds, bounds[1:]):
-        parts.append(replace(ds, values=ds.values[lo:hi].copy(), split=tag))
-    return tuple(parts)
+    return tuple(Dataset(ds.values[lo:hi].copy()) for lo, hi in zip(bounds, bounds[1:]))
 
 
 def inject_noise(ds: Dataset, gamma: float, seed, mode: str = "mean") -> Dataset:
@@ -197,7 +187,7 @@ def inject_noise(ds: Dataset, gamma: float, seed, mode: str = "mean") -> Dataset
             raise DataError(f"unknown noise mode {mode!r}")
         rng = np.random.default_rng(seed)
         values[:, -1] = values[:, -1] + rng.normal(0.0, scale, values.shape[0])
-    return replace(ds, values=values, noise_level=gamma)
+    return Dataset(values)
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +235,9 @@ def _scan_error(path, err: ValueError) -> str:
     return f"{path}: {err}"
 
 
-def read(path, problem_id: str | None = None, column_names: list[str] | None = None,
-         split: str = "all") -> Dataset:
+def read(path) -> Dataset:
     """Read a dataset file written by :func:`write` (or any file in the cell
-    grammar of the module docstring) into float64 values."""
+    grammar of the module docstring) into ``Dataset(values)`` of float64."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -260,14 +249,7 @@ def read(path, problem_id: str | None = None, column_names: list[str] | None = N
     bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad_rows.size:
         raise DataError(f"{path}: non-finite value in data row {bad_rows[0] + 1}")
-    if column_names is None:
-        column_names = [f"x{i + 1}" for i in range(values.shape[1] - 1)] + ["target"]
-    return Dataset(
-        problem_id=problem_id or Path(path).parent.name,
-        column_names=column_names,
-        values=values,
-        split=split,
-    )
+    return Dataset(values)
 
 
 def write_true_equation(spec: ProblemSpec, path) -> None:
@@ -307,19 +289,15 @@ def write_problem_dir(
     spec: ProblemSpec,
     root,
     rows: int = DEFAULT_ROWS,
-    seed=0,
+    seed: int = 0,
     noise_level: float = 0.0,
     ratios=DEFAULT_RATIOS,
     noise_mode: str = "mean",
 ) -> dict:
     """Generate and write one problem directory; returns a manifest entry."""
-    problem_seed = derive_seed(seed, spec.id) if isinstance(seed, int) else seed
-    ds = sample(spec, rows, problem_seed)
+    ds = sample(spec, rows, derive_seed(seed, spec.id))
     if noise_level > 0:
-        noise_seed = np.random.SeedSequence(
-            [int(seed) if isinstance(seed, int) else 0,
-             zlib.crc32(spec.id.encode("utf-8")), 0x5E],
-        )
+        noise_seed = np.random.SeedSequence([seed, zlib.crc32(spec.id.encode("utf-8")), 0x5E])
         ds = inject_noise(ds, noise_level, noise_seed, mode=noise_mode)
     train, val, test = split(ds, ratios)
     out = Path(root) / spec.id

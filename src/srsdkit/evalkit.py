@@ -55,19 +55,6 @@ class EvalReport:
     selection_score: float | None = None
 
 
-@dataclass(frozen=True)
-class SetSummary:
-    count: int
-    accuracy_rate: float
-    solution_rate: float
-    mean_normalized_edit_distance: float
-
-
-@dataclass(frozen=True)
-class BenchmarkSummary:
-    per_set: dict[str, SetSummary]
-
-
 def r_squared(predictions, targets) -> float:
     """Standard coefficient of determination, 1 - SSE/SST."""
     preds = np.asarray(predictions, dtype=np.float64)
@@ -79,18 +66,6 @@ def r_squared(predictions, targets) -> float:
         raise ZeroVarianceError("targets are all identical; R^2 is undefined")
     sse = float(np.sum((preds - ys) ** 2))
     return 1.0 - sse / sst
-
-
-def accuracy_rate(reports: list[EvalReport], tau: float = DEFAULT_TAU) -> float:
-    if not reports:
-        raise ValueError("no reports to aggregate")
-    return sum(r.r_squared > tau for r in reports) / len(reports)
-
-
-def solution_rate(reports: list[EvalReport]) -> float:
-    if not reports:
-        raise ValueError("no reports to aggregate")
-    return sum(r.symbolic_solution for r in reports) / len(reports)
 
 
 def is_symbolic_solution(pred: Expression, truth: Expression) -> bool:
@@ -181,23 +156,26 @@ def evaluate_against(
     )
 
 
-def summarize(reports: list[EvalReport]) -> BenchmarkSummary:
+def summarize(reports: list[EvalReport]) -> dict[str, dict]:
+    """The JSON-ready per-set table, counted from the rows: the rates are
+    shares of ``accuracy_hit`` and ``symbolic_solution``, so accuracy uses
+    the τ the rows were scored with."""
     if not reports:
         raise ValueError("cannot summarize an empty report list")
-    per_set: dict[str, SetSummary] = {}
     names = [s for s in BUILTIN_SETS if any(r.set_name == s for r in reports)]
     names += sorted({r.set_name for r in reports} - set(BUILTIN_SETS))
+    summary = {}
     for name in names:
         group = [r for r in reports if r.set_name == name]
-        per_set[name] = SetSummary(
-            count=len(group),
-            accuracy_rate=accuracy_rate(group),
-            solution_rate=solution_rate(group),
-            mean_normalized_edit_distance=(
+        summary[name] = {
+            "count": len(group),
+            "accuracy_rate": sum(r.accuracy_hit for r in group) / len(group),
+            "solution_rate": sum(r.symbolic_solution for r in group) / len(group),
+            "mean_normalized_edit_distance": (
                 sum(r.normalized_edit_distance for r in group) / len(group)
             ),
-        )
-    return BenchmarkSummary(per_set=per_set)
+        }
+    return summary
 
 
 def _json_float(x: float | None) -> float | None:
@@ -206,8 +184,9 @@ def _json_float(x: float | None) -> float | None:
     return x
 
 
-def report_payload(reports: list[EvalReport], summary: BenchmarkSummary | None = None) -> dict:
-    """JSON-ready document with a stable ordering for diffability."""
+def report_payload(reports: list[EvalReport], summary: dict[str, dict]) -> dict:
+    """JSON-ready document with a stable ordering for diffability;
+    ``summary`` is :func:`summarize` of the same reports."""
     problems = [
         {
             "id": r.problem_id,
@@ -221,15 +200,4 @@ def report_payload(reports: list[EvalReport], summary: BenchmarkSummary | None =
         }
         for r in sorted(reports, key=lambda r: r.problem_id)
     ]
-    payload: dict = {"problems": problems}
-    if summary is not None:
-        payload["summary"] = {
-            name: {
-                "count": s.count,
-                "accuracy_rate": s.accuracy_rate,
-                "solution_rate": s.solution_rate,
-                "mean_normalized_edit_distance": s.mean_normalized_edit_distance,
-            }
-            for name, s in summary.per_set.items()
-        }
-    return payload
+    return {"problems": problems, "summary": summary}

@@ -138,12 +138,6 @@ class Expression:
     def node_count(self) -> int:
         return sum(1 for _ in preorder(self))
 
-    def depth(self) -> int:
-        """Number of levels; a leaf has depth 1."""
-        if not self.children:
-            return 1
-        return 1 + max(c.depth() for c in self.children)
-
     def variables(self) -> set[int]:
         """Set of variable indices occurring in the tree."""
         return {node.index for node in preorder(self) if node.is_variable}

@@ -71,9 +71,6 @@ class BigramModel:
             return 0.0
         return (seen + self.alpha) / denom
 
-    def distribution(self, prev: str) -> dict[str, float]:
-        return {t: self.probability(prev, t) for t in self.vocabulary}
-
 
 def train_bigram(corpus: list[list[str]], alpha: float = 1.0) -> BigramModel:
     """Count token bigrams over preorder sequences, with a start context."""

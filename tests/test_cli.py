@@ -113,6 +113,16 @@ def test_eval_identical_dirs(easy_data, capsys):
     assert payload["problems"][0]["selection_score"] == 0.0
 
 
+def test_eval_summary_counts_rows_scored_with_tau(easy_data, capsys):
+    code, out, _ = run(capsys, "eval", "--pred-dir", str(easy_data),
+                       "--data-dir", str(easy_data), "--tau", "1.5")
+    assert code == 0
+    payload = json.loads(out)
+    assert not any(p["accuracy_hit"] for p in payload["problems"])
+    assert payload["summary"]["easy"]["accuracy_rate"] == 0.0
+    assert payload["summary"]["easy"]["solution_rate"] == 1.0
+
+
 def test_eval_missing_predictions_is_data_error(tmp_path, easy_data, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -189,6 +199,20 @@ def test_discover_with_a_gp_config_that_is_not_utf8_is_data_error(tmp_path, easy
                        "--gp-config", str(cfg), "--out", str(tmp_path / "o"))
     assert code == 2
     assert err == expected
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "--set", "easy", "--rows", "10"],
+    ["complexity"],
+    ["synth", "--n", "1", "--rows", "10"],
+])
+def test_catalog_that_is_not_utf8_is_data_error(tmp_path, capsys, command):
+    catalog_path = tmp_path / "bad.json"
+    catalog_path.write_bytes(b"[\xff]")
+    out = ["--out", str(tmp_path / "out")] if command[0] != "complexity" else []
+    code, _, err = run(capsys, *command, "--catalog", str(catalog_path), *out)
+    assert code == 2
+    assert err == f"error: {catalog_path}: not UTF-8 text (invalid start byte at byte offset 1)\n"
 
 
 def test_deeply_nested_expression_is_data_error(tmp_path, easy_data, capsys):
@@ -397,6 +421,19 @@ def test_leakcheck_of_a_problem_without_data_files_is_data_error(
                        "--catalog", str(easy_data))
     assert code == 2
     assert err == f"error: {corpus / empty}: no dataset files\n"
+
+
+def test_leakcheck_of_split_files_of_different_widths_is_data_error(
+        tmp_path, easy_data, synth_corpus, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(synth_corpus, corpus)
+    shutil.copytree(easy_data / "I.12.1", corpus / "I.12.1")
+    wide = corpus / "I.12.1" / "val.txt"
+    wide.write_text("1 2 3 4\n")
+    code, _, err = run(capsys, "leakcheck", "--corpus", str(corpus),
+                       "--catalog", str(easy_data))
+    assert code == 2
+    assert err == f"error: {wide}: expected 3 columns as in train.txt, found 4\n"
 
 
 def test_discover_and_eval_roundtrip(tmp_path, easy_data, capsys):

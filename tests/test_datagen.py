@@ -40,7 +40,7 @@ def test_sampling_is_deterministic():
 def test_constant_column_absent_and_ranges_respected():
     spec = load_builtin("I.12.4")
     ds = sample(spec, 2000, 1)
-    assert ds.column_names == ["q1", "r", "target"]
+    assert ds.values.shape == (2000, 3)
     q1, r = ds.X[:, 0], ds.X[:, 1]
     assert (np.abs(q1) >= 1e-3).all() and (np.abs(q1) <= 1e-1).all()
     assert (r >= 1e-2).all() and (r <= 1e0).all() and (r > 0).all()
@@ -96,7 +96,6 @@ def test_split_sizes_and_order():
     train, val, test = split(ds)
     assert (train.n_rows, val.n_rows, test.n_rows) == (800, 100, 100)
     assert (np.concatenate([train.values, val.values, test.values]) == ds.values).all()
-    assert (train.split, val.split, test.split) == ("train", "val", "test")
 
     tiny = split(sample(spec, 10, 0))
     assert tuple(p.n_rows for p in tiny) == (8, 1, 1)
@@ -114,7 +113,6 @@ def test_noise_zero_is_bit_exact_identity():
     ds = sample(load_builtin("I.12.1"), 1000, 0)
     noisy = inject_noise(ds, 0.0, seed=1)
     assert (noisy.values == ds.values).all()
-    assert noisy.noise_level == 0.0
 
 
 def test_noise_std_matches_definition():
@@ -139,7 +137,6 @@ def test_noise_grid_levels_supported():
     ds = sample(load_builtin("I.12.1"), 2000, 3)
     for gamma in (0.0, 1e-3, 1e-2, 1e-1):
         noisy = inject_noise(ds, gamma, seed=11)
-        assert noisy.noise_level == gamma
         assert np.isfinite(noisy.y).all()
 
 
@@ -195,7 +192,7 @@ PINNED_WRITES = [
 @pytest.mark.parametrize("rows, dtype, expected", PINNED_WRITES)
 def test_writer_bytes_are_pinned(tmp_path, rows, dtype, expected):
     path = tmp_path / "rows.txt"
-    write(Dataset("p", [], np.array(rows, dtype=dtype)), path)
+    write(Dataset(np.array(rows, dtype=dtype)), path)
     assert path.read_bytes() == expected.encode("utf-8")
 
 
@@ -213,7 +210,7 @@ finite_float64 = st.floats(allow_nan=False, allow_infinity=False, allow_subnorma
 @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6), elements=finite_float64))
 def test_write_matches_line_writer_and_reads_back_bit_exact(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("rt") / "rows.txt"
-    write(Dataset("p", [], values), path)
+    write(Dataset(values), path)
     assert path.read_bytes() == line_write_text(values).encode("utf-8")
     if values.shape[0] == 0 or values.shape[1] == 0:
         return

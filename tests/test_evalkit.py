@@ -11,14 +11,12 @@ from srsdkit.evalkit import (
     EvalReport,
     NoViableCandidateError,
     ZeroVarianceError,
-    accuracy_rate,
     evaluate_against,
     is_symbolic_solution,
     r_squared,
     relative_error_score,
     report_payload,
     select_best,
-    solution_rate,
     summarize,
 )
 from srsdkit.expr import add, const, evaluate_many, mul, op_node, parse, to_program, var
@@ -65,21 +63,27 @@ def _report(pid, set_name, r2, sol, ned):
     )
 
 
+def _rates(reports):
+    easy = summarize(reports)["easy"]
+    return easy["accuracy_rate"], easy["solution_rate"]
+
+
 def test_accuracy_rate_examples():
     perfect = [_report(f"p{i}", "easy", 1.0, True, 0.0) for i in range(5)]
-    assert accuracy_rate(perfect) == 1.0
+    assert _rates(perfect)[0] == 1.0
     duds = [_report(f"p{i}", "easy", 0.5, False, 1.0) for i in range(5)]
-    assert accuracy_rate(duds) == 0.0
+    assert _rates(duds)[0] == 0.0
     mixed = [_report(f"p{i}", "easy", 1.0 if i < 3 else 0.0, False, 1.0) for i in range(30)]
-    assert accuracy_rate(mixed) == pytest.approx(0.1)
+    assert _rates(mixed)[0] == pytest.approx(0.1)
 
 
 def test_rates_are_monotone_under_failures():
     reports = [_report("a", "easy", 1.0, True, 0.0)]
-    before_acc, before_sol = accuracy_rate(reports), solution_rate(reports)
+    before_acc, before_sol = _rates(reports)
     reports.append(_report("b", "easy", -2.0, False, 1.0))
-    assert accuracy_rate(reports) <= before_acc
-    assert solution_rate(reports) <= before_sol
+    after_acc, after_sol = _rates(reports)
+    assert after_acc <= before_acc
+    assert after_sol <= before_sol
 
 
 TRUTH = parse("mu * Nn", ["mu", "Nn"])
@@ -117,8 +121,7 @@ def test_zero_prediction_is_not_a_scalar_solution():
 def _toy_dataset(xs, ys):
     xs = np.asarray(xs, dtype=float).reshape(len(xs), -1)
     values = np.column_stack([xs, np.asarray(ys, dtype=float)])
-    names = [f"x{i+1}" for i in range(xs.shape[1])] + ["target"]
-    return Dataset(problem_id="toy", column_names=names, values=values)
+    return Dataset(values)
 
 
 def test_relative_error_score_example():
@@ -278,11 +281,9 @@ def test_summarize_groups_by_set():
         _report("m1", "medium", 1.0, False, 0.25),
     ]
     summary = summarize(reports)
-    assert summary.per_set["easy"].count == 2
-    assert summary.per_set["easy"].accuracy_rate == 0.5
-    assert summary.per_set["easy"].solution_rate == 0.5
-    assert summary.per_set["easy"].mean_normalized_edit_distance == 0.25
-    assert summary.per_set["medium"].count == 1
+    assert summary["easy"] == {"count": 2, "accuracy_rate": 0.5, "solution_rate": 0.5,
+                               "mean_normalized_edit_distance": 0.25}
+    assert summary["medium"]["count"] == 1
     with pytest.raises(ValueError):
         summarize([])
 

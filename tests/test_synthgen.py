@@ -30,7 +30,7 @@ def catalog_model():
 
 def test_bigram_conditionals_sum_to_one(catalog_model):
     for context in [START, "mul2", "C", "X1", "pow"]:
-        dist = catalog_model.distribution(context)
+        dist = {t: catalog_model.probability(context, t) for t in catalog_model.vocabulary}
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
         assert all(p > 0 for p in dist.values())
 
