@@ -8,7 +8,6 @@ so per-problem work parallelizes without changing a single output byte.
 
 from .expr import (
     Expression,
-    SkeletonTree,
     canonicalize,
     count_ops,
     evaluate,
@@ -38,7 +37,6 @@ __all__ = [
     "Expression",
     "GPConfig",
     "ProblemSpec",
-    "SkeletonTree",
     "assign_ranges",
     "builtin_problems",
     "canonicalize",

@@ -21,7 +21,6 @@ from importlib import resources
 from pathlib import Path
 
 from ..expr import Expression, ParseError, canonicalize, count_ops, parse, skeletonize
-from ..expr.skeleton import SkeletonTree
 
 BUILTIN_SETS = ("easy", "medium", "hard")
 
@@ -98,7 +97,7 @@ class ProblemSpec:
         return canonicalize(self.expression)
 
     @cached_property
-    def skeleton(self) -> SkeletonTree:
+    def skeleton(self) -> tuple[str, ...]:
         return skeletonize(self.canonical_expression)
 
 

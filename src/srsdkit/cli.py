@@ -36,7 +36,6 @@ from .expr import (
     VariableIndexError,
     canonicalize,
     expression_to_prefix,
-    from_preorder,
     prefix_to_expression,
     skeletonize,
 )
@@ -104,6 +103,18 @@ def _ratios(text: str) -> tuple[float, float, float]:
     return parts
 
 
+def _check_rows(rows: int, ratios) -> None:
+    """A usage error unless every split of ``rows`` rows gets a row: other
+    commands cannot read an empty split file."""
+    if rows < 1:
+        raise UsageError(f"--rows must be >= 1, got {rows}")
+    sizes = datagen.split_sizes(rows, ratios)
+    for name, size in zip(("train", "val", "test"), sizes):
+        if size == 0:
+            raise UsageError(f"--rows {rows} leaves the {name} split empty "
+                             f"(train/val/test rows {'/'.join(map(str, sizes))})")
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
@@ -117,11 +128,10 @@ def _generate_one(args):
 
 
 def cmd_generate(args) -> int:
-    if args.rows < 1:
-        raise UsageError(f"--rows must be >= 1, got {args.rows}")
     if args.noise < 0:
         raise UsageError(f"--noise must be >= 0, got {args.noise}")
     ratios = _ratios(args.split)
+    _check_rows(args.rows, ratios)
     seed = _master_seed(args.seed)
     specs = _load_specs(args.catalog, args.set)
     work = [(s, args.out, args.rows, seed, args.noise, ratios, args.noise_mode) for s in specs]
@@ -155,9 +165,8 @@ def _read_expression_line(path) -> str:
 
 
 def cmd_ned(args) -> int:
-    pred = from_preorder(_read_expression_line(args.pred).split())
-    truth = from_preorder(_read_expression_line(args.truth).split())
-    result = distance_result(pred, truth)
+    result = distance_result(_read_expression_line(args.pred).split(),
+                             _read_expression_line(args.truth).split())
     _emit(
         {
             "ned": round(result.normalized, 5),
@@ -271,6 +280,7 @@ def cmd_complexity(args) -> int:
 def cmd_synth(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
+    _check_rows(args.rows, datagen.DEFAULT_RATIOS)
     seed = _master_seed(args.seed)
     specs = _load_specs(args.catalog, "all")
     model = synthgen.train_bigram(synthgen.catalog_token_corpus(specs), alpha=args.alpha)
@@ -345,12 +355,12 @@ def _leakage_items(root: Path) -> list[synthgen.LeakageItem]:
 
 def _with_ranges(root: Path, items: list[synthgen.LeakageItem],
                  shared: set) -> list[synthgen.LeakageItem]:
-    """``items`` with the observed ranges of every item whose skeleton key is
-    in ``shared``; the data files of the others are not read. Split files
+    """``items`` with the observed ranges of every item whose skeleton is in
+    ``shared``; the data files of the others are not read. Split files
     of different widths are a data error."""
     out = []
     for item in items:
-        if synthgen.skeleton_key(item.skeleton) in shared:
+        if item.skeleton in shared:
             paths = [root / item.id / name for name in _SPLIT_FILES]
             paths = [path for path in paths if path.is_file()]
             chunks = [datagen.read(path).values for path in paths]
@@ -371,8 +381,7 @@ def cmd_leakcheck(args) -> int:
     corpus_root, target_root = Path(args.corpus), Path(args.catalog)
     corpus = _leakage_items(corpus_root)
     targets = _leakage_items(target_root)
-    shared = ({synthgen.skeleton_key(i.skeleton) for i in corpus}
-              & {synthgen.skeleton_key(i.skeleton) for i in targets})
+    shared = {i.skeleton for i in corpus} & {i.skeleton for i in targets}
     result = synthgen.leakage_report(
         _with_ranges(corpus_root, corpus, shared), _with_ranges(target_root, targets, shared)
     )

@@ -31,7 +31,7 @@ rejected). A ``true_eq.txt`` that is not UTF-8 raises the first of these.
 
 A problem directory holds train.txt / val.txt / test.txt plus true_eq.txt
 (line 1: the true skeleton in preorder tokens; line 2: its constant values
-in display order, possibly empty).
+in preorder, one per ``C``, possibly empty).
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .expr import (
     decode_preorder,
     evaluate_many,
     op_node,
-    to_preorder,
     to_program,
     var,
     variable_index,
@@ -154,16 +153,22 @@ def sample(spec: ProblemSpec, n: int, seed) -> Dataset:
     return Dataset(np.concatenate(chunks, axis=0)[:n])
 
 
-def split(ds: Dataset, ratios=DEFAULT_RATIOS) -> tuple[Dataset, Dataset, Dataset]:
-    """Disjoint, covering, order-preserving train/val/test partition."""
+def split_sizes(n: int, ratios=DEFAULT_RATIOS) -> tuple[int, int, int]:
+    """Row counts of the train/val/test parts :func:`split` cuts from ``n``
+    rows; a part may be empty."""
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
         raise DataError(f"need three positive ratios, got {ratios!r}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise DataError(f"ratios must sum to 1, got {sum(ratios)!r}")
-    n = ds.n_rows
     n_train = int(n * ratios[0])
     n_val = int(n * ratios[1])
-    bounds = (0, n_train, n_train + n_val, n)
+    return n_train, n_val, n - n_train - n_val
+
+
+def split(ds: Dataset, ratios=DEFAULT_RATIOS) -> tuple[Dataset, Dataset, Dataset]:
+    """Disjoint, covering, order-preserving train/val/test partition."""
+    n_train, n_val, _ = split_sizes(ds.n_rows, ratios)
+    bounds = (0, n_train, n_train + n_val, ds.n_rows)
     return tuple(Dataset(ds.values[lo:hi].copy()) for lo, hi in zip(bounds, bounds[1:]))
 
 
@@ -253,9 +258,8 @@ def read(path) -> Dataset:
 
 
 def write_true_equation(spec: ProblemSpec, path) -> None:
-    tokens = to_preorder(spec.skeleton)
     consts = constant_values(spec.canonical_expression)
-    text = " ".join(tokens) + "\n" + " ".join(repr(float(c)) for c in consts) + "\n"
+    text = " ".join(spec.skeleton) + "\n" + " ".join(repr(float(c)) for c in consts) + "\n"
     Path(path).write_text(text, encoding="utf-8")
 
 

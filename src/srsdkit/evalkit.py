@@ -115,7 +115,7 @@ def select_best(candidates: list[Expression], validation: Dataset) -> Expression
         raise NoViableCandidateError("all candidates scored +inf on the validation rows")
     # Only the candidates tied on the best score need a skeleton size.
     _, position = min(
-        (skeletonize(canonicalize(candidate)).node_count(), position)
+        (len(skeletonize(canonicalize(candidate))), position)
         for position, (candidate, score) in enumerate(zip(candidates, scores))
         if score == best_score
     )

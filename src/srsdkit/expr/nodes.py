@@ -150,9 +150,9 @@ class Expression:
         return f"{self.op}({', '.join(repr(c) for c in self.children)})"
 
 
-def preorder(tree):
-    """Yield the nodes of ``tree`` (an ``Expression`` or a ``SkeletonTree``):
-    the root first, then each child's subtree from left to right.
+def preorder(tree: Expression):
+    """Yield the nodes of the expression ``tree``: the root first, then each
+    child's subtree from left to right.
 
     The walk keeps pending subtrees on an explicit stack, so nesting depth is
     bounded by memory rather than by Python's recursion limit.

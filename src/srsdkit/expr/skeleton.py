@@ -1,9 +1,9 @@
-"""Skeleton trees and preorder token serialization.
+"""Skeletons and preorder token serialization.
 
-A skeleton is an ordered labeled tree in which every numeric constant has
-been collapsed to a ``C`` node and variable ``i`` to ``X{i+1}``. Constants
-carry a display index (C1, C2, ... in preorder encounter order) that is
-cosmetic only: all ``C`` nodes share the label ``"C"``.
+A skeleton is an expression's preorder token tuple with every numeric
+constant written as ``C`` and variable ``i`` as ``X{i+1}``. Two skeletons
+are the same tree (NED = 0) exactly when their tuples are equal, so the
+tuple is compared, hashed and counted (one token per node) directly.
 
 Preorder token text format (whitespace separated, one expression per line):
 n-ary operators (``add``/``mul``) carry an explicit arity suffix (``add3``,
@@ -15,16 +15,15 @@ valued expression is written.
 Every token sequence is decoded by one loop, :func:`decode_preorder`, which
 keeps the open operators on an explicit stack, so nesting depth is bounded
 by memory rather than by Python's recursion limit. Its callers differ only
-in how they build leaves and operator nodes. Trees are read by one walk,
-:func:`~srsdkit.expr.nodes.preorder`, which is iterative too.
+in how they build leaves and operator nodes. Expressions are read by one
+walk, :func:`~srsdkit.expr.nodes.preorder`, which is iterative too.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 
 from .nodes import OPERATORS, Expression, const, op_node, preorder, var
 
@@ -33,30 +32,14 @@ class DecodeError(ValueError):
     """Token sequence does not decode to exactly one tree."""
 
 
-@dataclass(frozen=True)
-class SkeletonTree:
-    label: str
-    children: tuple["SkeletonTree", ...] = field(default=())
-    display_index: int | None = None
+def skeletonize(expr: Expression) -> tuple[str, ...]:
+    """The skeleton of ``expr``: its preorder tokens, constants as ``C``.
 
-    def node_count(self) -> int:
-        return sum(1 for _ in preorder(self))
-
-    def __repr__(self):
-        name = f"{self.label}{self.display_index}" if self.label == "C" else self.label
-        if not self.children:
-            return name
-        return f"{name}({', '.join(repr(c) for c in self.children)})"
-
-
-def skeletonize(expr: Expression) -> SkeletonTree:
-    """Collapse constants to C-nodes and variables to X-nodes.
-
-    The input must be canonical: its preorder tokens, with every constant
-    written as ``C``, are decoded by :func:`from_preorder`, so a tree that
-    still holds ``div``, ``neg`` or ``sqrt`` raises ``DecodeError``.
+    The input must be canonical: ``decode_preorder`` rejects the ``div``,
+    ``neg`` and ``sqrt`` tokens a non-canonical tree would write, so a
+    distance to such a skeleton raises ``DecodeError``.
     """
-    return from_preorder(_expression_tokens(expr, lambda value: "C"))
+    return tuple(_expression_tokens(expr, lambda value: "C"))
 
 
 def count_ops(expr: Expression) -> int:
@@ -65,7 +48,7 @@ def count_ops(expr: Expression) -> int:
 
 
 def constant_values(expr: Expression) -> list[float]:
-    """Constants of ``expr`` in preorder (the skeleton's display order)."""
+    """Constants of ``expr`` in preorder, one per ``C`` of its skeleton."""
     return [node.value for node in preorder(expr) if node.is_constant]
 
 
@@ -83,13 +66,6 @@ _NUMBER_TOKEN = re.compile(r"^[-+]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 def _operator_token(op: str, n_children: int) -> str:
     """An n-ary operator's token carries its operand count (``add3``)."""
     return f"{op}{n_children}" if OPERATORS[op].arity is None else op
-
-
-def to_preorder(tree: SkeletonTree) -> list[str]:
-    return [
-        _operator_token(node.label, len(node.children)) if node.children else node.label
-        for node in preorder(tree)
-    ]
 
 
 def _token_arity(token: str, position: int) -> tuple[str, int]:
@@ -123,12 +99,13 @@ def variable_index(token: str) -> int | None:
     return int(m.group(1)) - 1 if m else None
 
 
-def decode_preorder(tokens: list[str], leaf, node):
+def decode_preorder(tokens: Sequence[str], leaf, node):
     """Decode a preorder token sequence into exactly one tree.
 
     ``leaf(token, position)`` builds each leaf (``C``, ``X<k>`` or a numeric
     literal), called in token order; ``node(label, *children)`` builds each
-    operator node once its last operand is built.
+    operator node once its last operand is built, so leaves and nodes are
+    built in postorder. ``label`` has no arity suffix (``add``, not ``add3``).
     """
     if not tokens:
         raise DecodeError("empty token sequence")
@@ -152,22 +129,6 @@ def decode_preorder(tokens: list[str], leaf, node):
                 raise DecodeError(f"{trailing} trailing token(s) after a complete tree")
             return done
     raise DecodeError(f"truncated sequence: expected a token at {len(tokens)}")
-
-
-def from_preorder(tokens: list[str]) -> SkeletonTree:
-    """Decode a preorder token sequence back into a skeleton tree.
-
-    Numeric literal tokens are accepted and treated as C-nodes, so valued
-    expression files can be read as skeletons directly.
-    """
-    display_indices = itertools.count(1)
-
-    def leaf(token: str, position: int) -> SkeletonTree:
-        if variable_index(token) is None:
-            return SkeletonTree("C", display_index=next(display_indices))
-        return SkeletonTree(token)
-
-    return decode_preorder(tokens, leaf, lambda label, *children: SkeletonTree(label, children))
 
 
 # ---------------------------------------------------------------------------

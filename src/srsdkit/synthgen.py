@@ -12,9 +12,9 @@ variable independently and sampling that variable log-uniformly from
 [10^(k-1), 10^(k+1)].
 
 The leakage checker compares a synthetic corpus against benchmark problems.
-Skeletons match when their preorder tokens are equal (NED = 0, the
-:func:`skeleton_key`); only for matching pairs is the per-variable interval
-IoU of the observed sample ranges computed. Benchmark sets can contain
+Skeletons match when their token tuples are equal (NED = 0), so the tuples
+key a hash join; only for matching pairs is the per-variable interval IoU
+of the observed sample ranges computed. Benchmark sets can contain
 skeleton-duplicate problems with different ranges, so the per-equation figure
 is the worst case (max) over matching pairs; the mean over pairs is also
 reported.
@@ -22,13 +22,14 @@ reported.
 Since only matched items need ranges, an item may carry ``ranges=None``.
 ``srsdkit leakcheck`` decodes every ``true_eq.txt`` of both roots first and
 reads ``train.txt``/``val.txt``/``test.txt`` only of problems whose skeleton
-key occurs on both sides; the data files of the other problems are not
+occurs on both sides; the data files of the other problems are not
 opened, so they are not validated either.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,12 +43,10 @@ from .expr import (
     decode_preorder,
     op_node,
     to_infix,
-    to_preorder,
     token_arity,
     var,
     variable_index,
 )
-from .expr.skeleton import SkeletonTree
 
 START = "<s>"
 
@@ -72,7 +71,7 @@ class BigramModel:
         return (seen + self.alpha) / denom
 
 
-def train_bigram(corpus: list[list[str]], alpha: float = 1.0) -> BigramModel:
+def train_bigram(corpus: list[Sequence[str]], alpha: float = 1.0) -> BigramModel:
     """Count token bigrams over preorder sequences, with a start context."""
     if not corpus:
         raise SynthError("cannot train a bigram model on an empty corpus")
@@ -87,8 +86,8 @@ def train_bigram(corpus: list[list[str]], alpha: float = 1.0) -> BigramModel:
     return model
 
 
-def catalog_token_corpus(specs: list[ProblemSpec]) -> list[list[str]]:
-    return [to_preorder(spec.skeleton) for spec in specs]
+def catalog_token_corpus(specs: list[ProblemSpec]) -> list[tuple[str, ...]]:
+    return [spec.skeleton for spec in specs]
 
 
 def _feasible(token: str, open_slots: int, used: int, max_tokens: int) -> bool:
@@ -212,19 +211,13 @@ def observed_ranges(X: np.ndarray) -> tuple[tuple[float, float], ...]:
     return tuple((float(col.min()), float(col.max())) for col in X.T)
 
 
-def skeleton_key(skeleton: SkeletonTree) -> tuple[str, ...]:
-    """The leakage join key: two skeletons match (NED = 0) exactly when
-    their preorder tokens are equal."""
-    return tuple(to_preorder(skeleton))
-
-
 @dataclass(frozen=True)
 class LeakageItem:
     """One side of a leakage comparison: a skeleton plus observed ranges,
     which may be ``None`` for an item no item of the other side matches."""
 
     id: str
-    skeleton: "SkeletonTree"
+    skeleton: tuple[str, ...]
     ranges: tuple[tuple[float, float], ...] | None
 
     @classmethod
@@ -268,18 +261,18 @@ def leakage_report(
     corpus: list[LeakageItem],
     targets: list[LeakageItem],
 ) -> LeakageResult:
-    """Join ``corpus`` and ``targets`` on :func:`skeleton_key` and compare the
+    """Join ``corpus`` and ``targets`` on their skeletons and compare the
     ranges of each matched pair; an unmatched item's ranges are never read."""
     if not corpus or not targets:
         raise ValueError("leakage check needs a nonempty corpus and target list")
     by_skeleton: dict[tuple[str, ...], list[LeakageItem]] = {}
     for synth in corpus:
-        by_skeleton.setdefault(skeleton_key(synth.skeleton), []).append(synth)
+        by_skeleton.setdefault(synth.skeleton, []).append(synth)
     pairs: list[LeakagePair] = []
     per_equation: list[EquationLeakage] = []
     for target in targets:
         match_ious: list[float] = []
-        for synth in by_skeleton.get(skeleton_key(target.skeleton), ()):
+        for synth in by_skeleton.get(target.skeleton, ()):
             ious = tuple(domain_iou(a, b) for a, b in zip(_ranges(synth), _ranges(target)))
             pair_iou = sum(ious) / len(ious) if ious else 0.0
             match_ious.append(pair_iou)

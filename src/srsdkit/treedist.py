@@ -3,9 +3,13 @@
 The distance is the minimum total cost of node insertions, deletions and
 renames transforming one ordered labeled tree into the other, under unit
 costs: every edit costs 1, except that a rename is free exactly when the
-labels match, where every constant node (label ``C``) matches every other
-constant node regardless of its display index, while ``X1`` matches only
-``X1`` and so on.
+labels match, where every constant node (``C`` or a numeric literal) matches
+every other constant node, while ``X1`` matches only ``X1`` and so on.
+
+Both trees are given as preorder token sequences, skeletons or valued, and
+are read by :func:`~srsdkit.expr.skeleton.decode_preorder`, so a token that
+does not decode raises ``DecodeError``. An n-ary operator's label has no
+arity suffix: ``add2`` and ``add3`` nodes rename for free.
 
 The normalized distance divides by the node count of the *truth* tree and is
 capped at 1; the normalization is deliberately asymmetric, including when the
@@ -18,9 +22,10 @@ ordered-tree distance would charge for operand permutations.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .expr.skeleton import SkeletonTree
+from .expr.skeleton import decode_preorder, variable_index
 
 
 @dataclass(frozen=True)
@@ -30,23 +35,24 @@ class DistanceResult:
     normalized: float
 
 
-def _postorder(root: SkeletonTree) -> tuple[list[str], list[int]]:
+def _postorder(tokens: Sequence[str]) -> tuple[list[str], list[int]]:
     """Labels in postorder plus l(i): the postorder index of the leftmost
     leaf descendant of node i (both 0-based)."""
     labels: list[str] = []
     leftmost: list[int] = []
-    # A node is pushed once on entry and once, with its leftmost leaf's index,
-    # to be emitted after its children: that leaf is the first node of the
-    # subtree to be emitted, so its index is the count emitted on entry.
-    todo: list[tuple[SkeletonTree, int | None]] = [(root, None)]
-    while todo:
-        node, first = todo.pop()
-        if first is None:
-            todo.append((node, len(labels)))
-            todo.extend((child, None) for child in reversed(node.children))
-        else:
-            labels.append(node.label)
-            leftmost.append(first)
+
+    def emit(label: str, first: int) -> int:
+        labels.append(label)
+        leftmost.append(first)
+        return first
+
+    # The decoder builds nodes in postorder. A leaf is its own leftmost leaf;
+    # an operator's is its first operand's, which that operand's build returned.
+    decode_preorder(
+        tokens,
+        lambda token, position: emit("C" if variable_index(token) is None else token, len(labels)),
+        lambda label, first, *rest: emit(label, first),
+    )
     return labels, leftmost
 
 
@@ -58,7 +64,7 @@ def _keyroots(leftmost: list[int]) -> list[int]:
     return sorted(seen.values())
 
 
-def edit_distance(a: SkeletonTree, b: SkeletonTree) -> float:
+def edit_distance(a: Sequence[str], b: Sequence[str]) -> float:
     """Exact minimum-cost edit distance between two non-empty ordered trees."""
     la, lma = _postorder(a)
     lb, lmb = _postorder(b)
@@ -96,12 +102,12 @@ def edit_distance(a: SkeletonTree, b: SkeletonTree) -> float:
     return dist[n - 1][m - 1]
 
 
-def distance_result(pred: SkeletonTree, truth: SkeletonTree) -> DistanceResult:
+def distance_result(pred: Sequence[str], truth: Sequence[str]) -> DistanceResult:
     raw = edit_distance(pred, truth)
-    size = truth.node_count()
+    size = len(truth)  # one token per node
     return DistanceResult(raw=raw, truth_nodes=size, normalized=min(1.0, raw / size))
 
 
-def normalized_edit_distance(pred: SkeletonTree, truth: SkeletonTree) -> float:
+def normalized_edit_distance(pred: Sequence[str], truth: Sequence[str]) -> float:
     """min(1, d(pred, truth) / |truth|); always normalized by the truth tree."""
     return distance_result(pred, truth).normalized

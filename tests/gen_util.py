@@ -6,7 +6,7 @@ import random
 
 from hypothesis import strategies as st
 
-from srsdkit.expr import Expression, SkeletonTree, const, op_node, var
+from srsdkit.expr import Expression, const, op_node, var
 
 # A modest pool keeps properties meaningful without hypothesis zeroing in on
 # adjacent-float corner cases that the folding tolerance deliberately merges.
@@ -76,32 +76,31 @@ def random_raw_expression(rng: random.Random, max_depth=5, n_vars=3) -> Expressi
     return op_node(name, *(random_raw_expression(rng, max_depth - 1, n_vars) for _ in range(n)))
 
 
-SKELETON_LABELS = ["add", "mul", "pow", "sin", "cos", "exp", "log", "C", "X1", "X2", "X3"]
+# Skeleton tokens with their arities, listed here rather than read from the
+# operator table under test.
+SKELETON_LEAVES = ["C", "X1", "X2", "X3"]
+SKELETON_TOKENS = [("add2", 2), ("add3", 3), ("mul2", 2), ("mul3", 3), ("pow", 2),
+                   ("sin", 1), ("cos", 1), ("exp", 1), ("log", 1)] + [
+                   (leaf, 0) for leaf in SKELETON_LEAVES]
 
 
-def random_skeleton(rng: random.Random, max_nodes=7) -> SkeletonTree:
-    """Random ordered labeled tree within a node budget.
-
-    Shapes are unconstrained by operator arity on purpose: the edit distance
-    is defined on arbitrary ordered labeled trees.
-    """
+def random_skeleton(rng: random.Random, max_nodes=7) -> tuple[str, ...]:
+    """Random skeleton token tuple of at most ``max_nodes`` tokens, every
+    operator with the operand count its token says."""
     budget = rng.randint(1, max_nodes)
+    tokens: list[str] = []
 
-    def build(cap: int) -> tuple[SkeletonTree, int]:
-        label = rng.choice(SKELETON_LABELS)
-        if cap <= 1 or label in ("C", "X1", "X2", "X3"):
-            leaf = rng.choice(["C", "X1", "X2", "X3"])
-            return SkeletonTree(leaf), 1
-        n_children = rng.randint(1, min(3, cap - 1))
+    def build(cap: int) -> int:
+        """Append one subtree of at most ``cap`` tokens; return its size."""
+        token, arity = rng.choice(SKELETON_TOKENS)
+        if arity == 0 or arity >= cap:
+            tokens.append(rng.choice(SKELETON_LEAVES))
+            return 1
+        tokens.append(token)
         used = 1
-        children = []
-        for _ in range(n_children):
-            child, spent = build(cap - used)
-            children.append(child)
-            used += spent
-            if used >= cap:
-                break
-        return SkeletonTree(label, tuple(children)), used
+        for later in reversed(range(arity)):  # keep a token for each later operand
+            used += build(cap - used - later)
+        return used
 
-    tree, _ = build(budget)
-    return tree
+    build(budget)
+    return tuple(tokens)

@@ -8,7 +8,9 @@
   ordered forests (split on the rightmost roots). Polynomial-ish with
   memoization; usable to a few dozen nodes.
 
-Both share nothing with the keyroot/forest dynamic program they check.
+Both take preorder token sequences and read them into their own nested
+``(label, children)`` tuples, so they share nothing with the keyroot/forest
+dynamic program they check, not even its token decoder.
 
 * :func:`recursive_evaluate_many` is the straightforward recursive batch
   evaluator: a fresh array per node, a column copy per variable leaf. The
@@ -17,9 +19,9 @@ Both share nothing with the keyroot/forest dynamic program they check.
 * :func:`masked_relative_error_score` is the relative-error fitness as it
   was written before its lean tail: ``mean``, boolean indexing and
   ``abs(.)**2``. ``relative_error_score`` must give the same bits.
-* :func:`recursive_skeletonize` builds a skeleton node by node, numbering
-  constants as it meets them; ``skeletonize``, which decodes the tree's
-  preorder tokens, must give the same labels and display indices.
+* :func:`recursive_skeletonize` writes a skeleton's tokens by recursion;
+  ``skeletonize``, which walks the tree with an explicit stack, must give
+  the same token tuple.
 * :func:`line_write_text` and :func:`line_read_values` are the dataset
   writer and reader as they were written before ``np.loadtxt``: one
   ``repr`` per cell, and one ``float`` per cell of ``str.splitlines``.
@@ -38,10 +40,35 @@ import numpy as np
 
 from srsdkit.datagen import DataError
 from srsdkit.evalkit import TINY_TARGET
-from srsdkit.expr import Expression, SkeletonTree, evaluate_many
+from srsdkit.expr import Expression, evaluate_many
+
+# Skeleton token arities, written out here rather than read from the code
+# under test; ``add<k>`` and ``mul<k>`` take k operands.
+FIXED_ARITY = {"pow": 2, "sin": 1, "cos": 1, "tan": 1, "tanh": 1, "exp": 1, "log": 1, "abs": 1}
 
 
-def _number(root: SkeletonTree):
+def tree(tokens) -> tuple:
+    """The ``(label, children)`` tree of a preorder token sequence. Every
+    constant token (``C`` or a number) is labelled ``C``, and an n-ary
+    operator loses its operand count: ``add3`` is labelled ``add``."""
+    tokens = iter(tokens)
+
+    def node():
+        token = next(tokens)
+        if token[:3] in ("add", "mul"):
+            label, arity = token[:3], int(token[3:])
+        elif token in FIXED_ARITY:
+            label, arity = token, FIXED_ARITY[token]
+        else:
+            label, arity = (token if token.startswith("X") else "C"), 0
+        return label, tuple(node() for _ in range(arity))
+
+    root = node()
+    assert next(tokens, None) is None, "trailing tokens"
+    return root
+
+
+def _number(root: tuple):
     """(label, preorder, postorder) triples, in preorder."""
     out = []
     clock = [0, 0]
@@ -50,8 +77,8 @@ def _number(root: SkeletonTree):
         pre = clock[0]
         clock[0] += 1
         my = len(out)
-        out.append([node.label, pre, None])
-        for c in node.children:
+        out.append([node[0], pre, None])
+        for c in node[1]:
             walk(c)
         out[my][2] = clock[1]
         clock[1] += 1
@@ -75,8 +102,8 @@ def rename_cost(a: str, b: str) -> float:
     return 0.0 if a == b else 1.0
 
 
-def brute_force_distance(a: SkeletonTree, b: SkeletonTree) -> float:
-    na, nb = _number(a), _number(b)
+def brute_force_distance(a, b) -> float:
+    na, nb = _number(tree(a)), _number(tree(b))
     base = len(na) * DELETE_COST + len(nb) * INSERT_COST
     best = [base]
     # Mapping node i of `a` to node j of `b` changes the cost by
@@ -107,10 +134,10 @@ def brute_force_distance(a: SkeletonTree, b: SkeletonTree) -> float:
     return best[0]
 
 
-def recursive_forest_distance(a: SkeletonTree, b: SkeletonTree) -> float:
+def recursive_forest_distance(a, b) -> float:
     @lru_cache(maxsize=None)
     def node_count(forest):
-        return sum(1 + node_count(t.children) for t in forest)
+        return sum(1 + node_count(children) for _, children in forest)
 
     @lru_cache(maxsize=None)
     def fdist(f1, f2):
@@ -121,16 +148,16 @@ def recursive_forest_distance(a: SkeletonTree, b: SkeletonTree) -> float:
         if not f1:
             return node_count(f2) * INSERT_COST
         v, w = f1[-1], f2[-1]
-        delete_root = fdist(f1[:-1] + v.children, f2) + DELETE_COST
-        insert_root = fdist(f1, f2[:-1] + w.children) + INSERT_COST
+        delete_root = fdist(f1[:-1] + v[1], f2) + DELETE_COST
+        insert_root = fdist(f1, f2[:-1] + w[1]) + INSERT_COST
         match_roots = (
-            fdist(v.children, w.children)
+            fdist(v[1], w[1])
             + fdist(f1[:-1], f2[:-1])
-            + rename_cost(v.label, w.label)
+            + rename_cost(v[0], w[0])
         )
         return min(delete_root, insert_root, match_roots)
 
-    return fdist((a,), (b,))
+    return fdist((tree(a),), (tree(b),))
 
 
 def recursive_evaluate_many(expr: Expression, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,18 +226,14 @@ def masked_relative_error_score(expr, X: np.ndarray, y: np.ndarray) -> float:
     return math.inf if math.isnan(score) else score
 
 
-def recursive_skeletonize(expr: Expression) -> SkeletonTree:
-    counter = [0]
-
-    def walk(node: Expression) -> SkeletonTree:
-        if node.is_constant:
-            counter[0] += 1
-            return SkeletonTree("C", display_index=counter[0])
-        if node.is_variable:
-            return SkeletonTree(f"X{node.index + 1}")
-        return SkeletonTree(node.op, tuple(walk(c) for c in node.children))
-
-    return walk(expr)
+def recursive_skeletonize(expr: Expression) -> tuple[str, ...]:
+    if expr.is_constant:
+        return ("C",)
+    if expr.is_variable:
+        return (f"X{expr.index + 1}",)
+    n = len(expr.children)
+    token = f"{expr.op}{n}" if expr.op in ("add", "mul") else expr.op
+    return (token,) + sum((recursive_skeletonize(c) for c in expr.children), ())
 
 
 def line_write_text(values: np.ndarray) -> str:

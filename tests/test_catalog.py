@@ -99,7 +99,7 @@ def test_integer_phase_count():
 def test_every_problem_parses_and_canonicalizes():
     for p in builtin_problems():
         assert p.canonical_expression is not None
-        assert p.skeleton.node_count() >= 1
+        assert len(p.skeleton) >= 1
 
 
 def test_every_problem_samples_1000_rows_fault_free():

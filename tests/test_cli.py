@@ -61,6 +61,21 @@ def test_generate_rejects_zero_rows(capsys):
     assert "rows" in err
 
 
+@pytest.mark.parametrize("command, empty", [
+    (["generate", "--set", "easy", "--rows", "5"], "val"),
+    (["generate", "--set", "easy", "--rows", "1"], "train"),
+    (["generate", "--set", "easy", "--rows", "10", "--split", "0.5,0.5,1e-10"], "test"),
+    (["synth", "--n", "1", "--rows", "9"], "val"),
+])
+def test_rows_that_leave_a_split_empty_are_usage_errors(tmp_path, capsys, command, empty):
+    # An empty split file would make eval, discover and leakcheck exit 2.
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *command, "--seed", "1", "--out", str(out))
+    assert code == 1
+    assert f"leaves the {empty} split empty" in err
+    assert not out.exists()
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, _ = run(capsys, "generate", "--frobnicate", "1", "--out", "/tmp/x")
     assert code == 1
@@ -233,6 +248,17 @@ def test_deeply_nested_expression_is_data_error(tmp_path, easy_data, capsys):
                        "--data-dir", str(easy_data))
     assert code == 2
     assert "nested too deeply" in err
+
+
+def test_eval_scores_a_prediction_nested_200_deep(tmp_path, easy_data, capsys):
+    # Canonicalization recurses, but 200 levels are within the default limit.
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    (preds / "I.12.1.txt").write_text("sin " * 200 + "X1\n")
+    code, out, _ = run(capsys, "eval", "--pred-dir", str(preds), "--data-dir", str(easy_data))
+    assert code == 0
+    (row,) = [row for row in json.loads(out)["problems"] if row["id"] == "I.12.1"]
+    assert row["normalized_edit_distance"] == 1.0
 
 
 def test_malformed_constants_are_data_errors(tmp_path, easy_data, capsys):

@@ -21,11 +21,12 @@ from srsdkit.datagen import (
     read_true_equation,
     sample,
     split,
+    split_sizes,
     write,
     write_problem_dir,
     write_true_equation,
 )
-from srsdkit.expr import constant_values, evaluate_many, skeletonize, to_preorder
+from srsdkit.expr import constant_values, evaluate_many, skeletonize
 
 
 def test_sampling_is_deterministic():
@@ -99,6 +100,9 @@ def test_split_sizes_and_order():
 
     tiny = split(sample(spec, 10, 0))
     assert tuple(p.n_rows for p in tiny) == (8, 1, 1)
+    for n in range(12):
+        assert tuple(p.n_rows for p in split(Dataset(ds.values[:n]))) == split_sizes(n)
+    assert split_sizes(5) == (4, 0, 1)
 
 
 def test_split_rejects_bad_ratios():
@@ -316,7 +320,7 @@ def test_true_equation_round_trip(tmp_path):
     write_true_equation(spec, path)
     expr = read_true_equation(path)
     skeleton, consts = skeletonize(expr), constant_values(expr)
-    assert to_preorder(skeleton) == to_preorder(spec.skeleton)
+    assert skeleton == spec.skeleton
     assert expr == spec.canonical_expression
     assert len(consts) == 2
 

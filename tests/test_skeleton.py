@@ -12,14 +12,13 @@ from srsdkit.expr import (
     const,
     constant_values,
     count_ops,
+    decode_preorder,
     expression_to_prefix,
-    from_preorder,
     mul,
     op_node,
     parse,
     prefix_to_expression,
     skeletonize,
-    to_preorder,
     var,
 )
 from srsdkit.expr.nodes import preorder
@@ -37,31 +36,12 @@ def test_fig_style_constant_and_variable_replacement():
     # omega = 4*pi*mu*B/h with the Planck constant substituted: one folded
     # coefficient and two variables under a single product node.
     s = skel("4*pi*mu*B/h", ["mu", "B"], {"h": 6.626e-34})
-    assert s.label == "mul"
-    labels = sorted(c.label for c in s.children)
-    assert labels == ["C", "X1", "X2"]
-    assert s.node_count() == 4
+    assert s[0] == "mul3"
+    assert sorted(s[1:]) == ["C", "X1", "X2"]
 
 
 def test_simple_product_skeleton():
-    s = skel("3 * x", ["x"])
-    assert s.label == "mul"
-    assert [c.label for c in s.children] == ["C", "X1"]
-
-
-def test_display_indices_follow_preorder():
-    s = skel("2 * x1 / x2^2", ["x1", "x2"])
-    assert s.node_count() == 6
-    cs = []
-
-    def walk(node):
-        if node.label == "C":
-            cs.append(node.display_index)
-        for c in node.children:
-            walk(c)
-
-    walk(s)
-    assert cs == sorted(cs) == list(range(1, len(cs) + 1))
+    assert skel("3 * x", ["x"]) == ("mul2", "C", "X1")
 
 
 def test_count_ops():
@@ -71,49 +51,58 @@ def test_count_ops():
 
 
 def test_node_count_recurrence():
-    s = skel("a*b + sin(a)", ["a", "b"])
-    assert s.node_count() == 1 + sum(c.node_count() for c in s.children)
+    e = canonicalize(parse("a*b + sin(a)", ["a", "b"]))
+    assert e.node_count() == 1 + sum(c.node_count() for c in e.children)
+    assert len(skeletonize(e)) == e.node_count() == 6
 
 
 def test_preorder_tokens_carry_arity_suffix():
     s = skel("c * x1 * x2", ["x1", "x2"], {"c": 2.5})
-    assert to_preorder(s) == ["mul3", "C", "X1", "X2"]
+    assert s == ("mul3", "C", "X1", "X2")
 
 
 def test_round_trip_examples():
-    tokens = ["mul3", "C", "X1", "X2"]
-    assert to_preorder(from_preorder(tokens)) == tokens
+    tokens = ["mul3", "2.5", "X1", "X2"]
+    assert expression_to_prefix(prefix_to_expression(tokens)) == tokens
+    assert skeletonize(prefix_to_expression(tokens)) == ("mul3", "C", "X1", "X2")
+
+
+def _labels(tokens):
+    """Decode ``tokens`` into nested (label, operands) tuples."""
+    return decode_preorder(tokens, lambda token, position: token,
+                           lambda label, *operands: (label, operands))
 
 
 def test_decode_errors():
-    with pytest.raises(DecodeError):
-        from_preorder([])
-    with pytest.raises(DecodeError):
-        from_preorder(["add2", "X1"])  # truncated
-    with pytest.raises(DecodeError):
-        from_preorder(["X1", "X2"])  # trailing tokens
-    with pytest.raises(DecodeError):
-        from_preorder(["add1", "X1"])  # bad arity
-    with pytest.raises(DecodeError):
-        from_preorder(["frob"])
+    for tokens, message in (([], "empty"), (["add2", "X1"], "truncated"),
+                            (["X1", "X2"], "trailing"), (["add1", "X1"], "arity"),
+                            (["frob"], "unknown")):
+        with pytest.raises(DecodeError, match=message):
+            _labels(tokens)
+        with pytest.raises(DecodeError, match=message):
+            edit_distance(tokens, ["X1"])
     # Only canonical operators decode, and variables count from X1.
     for tokens in (["div", "X1", "X2"], ["neg", "X1"], ["sqrt", "X1"], ["X0"], ["add2", "X1"]):
         with pytest.raises(DecodeError):
-            from_preorder(tokens)
+            _labels(tokens)
+        with pytest.raises(DecodeError):
+            edit_distance(["X1"], tokens)
         with pytest.raises(DecodeError):
             prefix_to_expression(tokens)
 
 
 def test_numeric_tokens_decode_as_constants():
-    t = from_preorder(["mul2", "9.807", "X1"])
-    assert t.children[0].label == "C"
+    assert _labels(["mul2", "9.807", "X1"]) == ("mul", ("9.807", "X1"))
+    assert edit_distance(["mul2", "9.807", "X1"], skel("3 * x", ["x"])) == 0
 
 
 @settings(max_examples=250, deadline=None)
 @given(expressions())
 def test_serialization_round_trip(e):
-    s = skeletonize(canonicalize(e))
-    assert from_preorder(to_preorder(s)) == s
+    e = canonicalize(e)
+    s = skeletonize(e)
+    assert skeletonize(prefix_to_expression(expression_to_prefix(e))) == s
+    assert edit_distance(s, s) == 0
 
 
 def test_valued_prefix_round_trip():
@@ -131,7 +120,7 @@ def test_valued_prefix_rejects_bare_c():
 
 def test_constant_table_rebuilds_expression(tmp_path):
     e = canonicalize(parse("2.5 * x1 / x2^1.5", ["x1", "x2"]))
-    tokens = to_preorder(skeletonize(e))
+    tokens = skeletonize(e)
     values = constant_values(e)
     path = tmp_path / "true_eq.txt"
 
@@ -148,8 +137,9 @@ def test_constant_table_rebuilds_expression(tmp_path):
 
 def test_deep_chain_decodes_without_recursion():
     tokens = ["sin"] * 3000 + ["X1"]
-    assert to_preorder(from_preorder(tokens)) == tokens
+    assert skeletonize(prefix_to_expression(tokens)) == tuple(tokens)
     assert expression_to_prefix(prefix_to_expression(tokens)) == tokens
+    assert edit_distance(tokens, ["X1"]) == 3000
 
 
 def test_skeletonize_matches_recursive_reference():
@@ -177,10 +167,9 @@ def test_tree_walks_handle_a_deep_chain(tmp_path):
         assert count_ops(e) == depth + 1
         assert constant_values(e) == [2.5]
         s = skeletonize(e)
-        assert s.node_count() == depth + 3
-        assert to_preorder(s) == tokens
+        assert s == tuple(tokens)
         assert expression_to_prefix(e) == tokens[:-2] + ["2.5", "X2"]
         assert expression_to_prefix(read_true_equation(path)) == expression_to_prefix(e)
-        assert edit_distance(s, from_preorder(["X2"])) == depth + 2
+        assert edit_distance(s, ["X2"]) == depth + 2
     finally:
         sys.setrecursionlimit(limit)

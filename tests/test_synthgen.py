@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from srsdkit import treedist
 from srsdkit.catalog import builtin_problems, load_builtin
 from srsdkit.datagen import derive_seed, sample
-from srsdkit.expr import canonicalize, from_preorder, skeletonize, to_preorder
+from srsdkit.expr import canonicalize, skeletonize
 from srsdkit.synthgen import (
     START,
     LeakageItem,
@@ -18,7 +18,6 @@ from srsdkit.synthgen import (
     leakage_report,
     range_exponent,
     sample_equation,
-    skeleton_key,
     train_bigram,
 )
 
@@ -60,8 +59,8 @@ def test_sampled_equations_decode_and_are_not_constant(catalog_model):
         expr = sample_equation(catalog_model, 24, np.random.SeedSequence([9, i]))
         assert expr.variables(), "equation must use at least one variable"
         assert not canonicalize(expr).is_constant
-        tokens = to_preorder(skeletonize(canonicalize(expr)))
-        assert from_preorder(tokens) is not None
+        skeleton = skeletonize(canonicalize(expr))
+        assert treedist.edit_distance(skeleton, skeleton) == 0  # it decodes
 
 
 def test_sampling_is_deterministic(catalog_model):
@@ -191,7 +190,7 @@ def _unread(item):
 def test_leakage_reads_ranges_only_of_matched_items():
     corpus = _items(["I.12.1", "I.27.6"])
     targets = _items(["I.12.5", "I.18.16"])  # only I.12.1 and I.12.5 match
-    assert skeleton_key(corpus[0].skeleton) == skeleton_key(targets[0].skeleton)
+    assert corpus[0].skeleton == targets[0].skeleton
     full = leakage_report(corpus, targets)
     assert leakage_report([corpus[0], _unread(corpus[1])],
                           [targets[0], _unread(targets[1])]) == full

@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
-from srsdkit.expr import SkeletonTree, canonicalize, parse, skeletonize
+from srsdkit.catalog import builtin_problems
+from srsdkit.expr import canonicalize, parse, skeletonize
 from srsdkit.treedist import (
     distance_result,
     edit_distance,
@@ -37,14 +39,14 @@ def test_identical_trees_have_zero_distance():
 
 
 def test_golden_single_variable_drop():
-    assert TRUTH_I_12_4.node_count() == 6
+    assert len(TRUTH_I_12_4) == 6
     result = distance_result(PRED_ST_I_12_4, TRUTH_I_12_4)
     assert result.raw == 1
     assert result.normalized == pytest.approx(0.167, abs=5e-4)
 
 
 def test_golden_constant_drop():
-    assert TRUTH_I_14_3.node_count() == 4
+    assert len(TRUTH_I_14_3) == 4
     result = distance_result(PRED_ST_I_14_3, TRUTH_I_14_3)
     assert result.raw == 1
     assert result.normalized == pytest.approx(0.250, abs=5e-4)
@@ -68,10 +70,26 @@ def test_normalization_uses_truth_size_even_when_pred_is_larger():
     assert normalized_edit_distance(small, big) == pytest.approx(3 / 4)
 
 
-def test_constant_display_indices_do_not_matter():
-    a = SkeletonTree("mul", (SkeletonTree("C", display_index=1), SkeletonTree("X1")))
-    b = SkeletonTree("mul", (SkeletonTree("C", display_index=7), SkeletonTree("X1")))
-    assert edit_distance(a, b) == 0
+def test_constant_tokens_do_not_matter():
+    # C and every numeric literal are one label; a variable is its own.
+    for a, b in ((["mul2", "C", "X1"], ["mul2", "9.807", "X1"]),
+                 (["mul2", "1", "X1"], ["mul2", "-7.5e3", "X1"])):
+        assert edit_distance(a, b) == 0
+        assert distance_result(a, b) == distance_result(b, a)
+    assert edit_distance(["mul2", "C", "X1"], ["mul2", "X2", "X1"]) == 1
+
+
+# sha256 of repr([(raw, truth_nodes, normalized), ...]) over every fifth
+# catalog skeleton as prediction against all 120 as truth, in catalog order.
+CATALOG_NED_DIGEST = "6124d7d8e0f256aaca1c8de9c2fa7cda338142fa2eb94f7188c8e512050ac68f"
+
+
+def test_catalog_ned_values_are_pinned():
+    skeletons = [spec.skeleton for spec in builtin_problems()]
+    assert len(skeletons) == 120
+    results = [distance_result(pred, truth) for pred in skeletons[::5] for truth in skeletons]
+    text = repr([(r.raw, r.truth_nodes, r.normalized) for r in results])
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CATALOG_NED_DIGEST
 
 
 def test_oracle_equivalence_on_random_pairs():
@@ -113,12 +131,6 @@ def test_normalized_zero_iff_identical_up_to_constant_labels():
     for _ in range(80):
         a = random_skeleton(rng, max_nodes=6)
         b = random_skeleton(rng, max_nodes=6)
-        ned = normalized_edit_distance(a, b)
-        same = _same_up_to_c(a, b)
-        assert (ned == 0.0) == same
-
-
-def _same_up_to_c(a, b):
-    if a.label != b.label or len(a.children) != len(b.children):
-        return False
-    return all(_same_up_to_c(x, y) for x, y in zip(a.children, b.children))
+        # These skeletons hold no numeric literals, so equal tokens are the
+        # same tree: the leakage join's premise.
+        assert (normalized_edit_distance(a, b) == 0.0) == (a == b)
