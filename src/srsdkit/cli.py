@@ -581,8 +581,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:
-        # Canonicalization, with the tree order and the constant folding it
-        # calls, still recurses once per tree level.
+        # The infix parser of catalog formulas still recurses once per
+        # nesting level; every tree walk on the scoring path is iterative.
         print("error: expression is nested too deeply to process", file=sys.stderr)
         return 2
 

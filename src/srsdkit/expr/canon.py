@@ -5,7 +5,8 @@ simplifier: equality of equivalent-but-differently-written expressions is
 guaranteed only up to these rules. Both predictions and ground truth pass
 through the same pipeline, which is all the downstream tree metrics require.
 
-Rules, applied bottom-up until a fixed point:
+Rules, applied to each node after its operands in one fold over the tree's
+program (``from_program``), with passes repeated until a fixed point:
 
   * ``div(a, b)  -> mul(a, pow(b, -1))``
   * ``neg(a)     -> mul(-1, a)``
@@ -38,11 +39,12 @@ from .nodes import (
     Expression,
     compare,
     const,
-    mul,
+    from_program,
     op_node,
     pow_,
     same_constant,
     structurally_equal,
+    to_program,
 )
 
 _MAX_PASSES = 50
@@ -52,25 +54,21 @@ def canonicalize(expr: Expression) -> Expression:
     """Return the canonical form; a fixed point of this function."""
     current = expr
     for _ in range(_MAX_PASSES):
-        after = _pass(current)
+        after = from_program(to_program(current), _rewrite)
         if after == current:
             return after
         current = after
     raise AssertionError("canonicalization did not reach a fixed point")
 
 
-def _pass(expr: Expression) -> Expression:
-    if not expr.is_operator:
-        return expr
-    children = [_pass(c) for c in expr.children]
-    op = expr.op
-
+def _rewrite(op: str, *children: Expression) -> Expression:
+    """The node ``op(*children)`` rewritten, its operands already rewritten."""
     if op == "div":
-        return _pass(mul(children[0], pow_(children[1], const(-1.0))))
+        return _rewrite("mul", children[0], _rewrite("pow", children[1], const(-1.0)))
     if op == "neg":
-        return _pass(mul(const(-1.0), children[0]))
+        return _rewrite("mul", const(-1.0), children[0])
     if op == "sqrt":
-        return _pass(pow_(children[0], const(0.5)))
+        return _rewrite("pow", children[0], const(0.5))
 
     node = op_node(op, *children)
     folded = _try_fold(node)
@@ -105,7 +103,7 @@ def _safe_fsum(values) -> float:
         return math.inf
 
 
-def _flatten(op: str, children: list[Expression]) -> list[Expression]:
+def _flatten(op: str, children: tuple[Expression, ...]) -> list[Expression]:
     out: list[Expression] = []
     for c in children:
         if c.is_operator and c.op == op:
@@ -127,10 +125,10 @@ def _rewrite_pow(base: Expression, exponent: Expression) -> Expression:
             return const(1.0)
     if _is_integer_const(exponent):
         if base.is_operator and base.op == "mul":
-            return _pass(mul(*(pow_(f, exponent) for f in base.children)))
+            return _rewrite("mul", *(_rewrite("pow", f, exponent) for f in base.children))
         if base.is_operator and base.op == "pow":
             inner_base, inner_exp = base.children
-            return _pass(pow_(inner_base, mul(inner_exp, exponent)))
+            return _rewrite("pow", inner_base, _rewrite("mul", inner_exp, exponent))
     return pow_(base, exponent)
 
 
@@ -237,9 +235,9 @@ def _rewrite_mul(factors: list[Expression]) -> Expression:
         elif all(e.is_constant for e in exps):
             total = _safe_fsum(e.value for e in exps)
             # An overflowing sum cannot be stored; leave the unfolded node.
-            exponent = const(total) if math.isfinite(total) else _pass(op_node("add", *exps))
+            exponent = const(total) if math.isfinite(total) else _rewrite("add", *exps)
         else:
-            exponent = _pass(op_node("add", *exps))
+            exponent = _rewrite("add", *exps)
         rebuilt = _rewrite_pow(base, exponent)
         if rebuilt.is_operator:
             folded = _try_fold(rebuilt)

@@ -82,7 +82,7 @@ class ExpressionError(ValueError):
     """Malformed expression tree."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Expression:
     """One node of an expression tree.
 
@@ -98,7 +98,7 @@ class Expression:
     children: tuple["Expression", ...] = field(default=())
 
     def __post_init__(self):
-        kinds = sum(x is not None for x in (self.op, self.value, self.index))
+        kinds = (self.op is not None) + (self.value is not None) + (self.index is not None)
         if kinds != 1:
             raise ExpressionError("node must be exactly one of operator/constant/variable")
         if self.op is not None:
@@ -135,12 +135,15 @@ class Expression:
     def is_variable(self) -> bool:
         return self.index is not None
 
-    def node_count(self) -> int:
-        return sum(1 for _ in preorder(self))
-
     def variables(self) -> set[int]:
         """Set of variable indices occurring in the tree."""
         return {node.index for node in preorder(self) if node.is_variable}
+
+    def __eq__(self, other):
+        return type(other) is Expression and compare(self, other) == 0
+
+    def __hash__(self):
+        return hash(tuple(_keys(self)))
 
     def __repr__(self):
         if self.is_constant:
@@ -189,10 +192,11 @@ def to_program(expr: Expression) -> tuple:
     )
 
 
-def from_program(program) -> Expression:
+def from_program(program, node=None) -> Expression:
     """The tree of ``program``, built by one fold over its reversed tokens:
     each operator takes its operands from the top of the stack, first child
-    on top."""
+    on top, and is built by ``node(name, *operands)`` (default ``op_node``)."""
+    node = node or op_node
     stack: list[Expression] = []
     for token in reversed(program):
         if type(token) is float:
@@ -203,7 +207,7 @@ def from_program(program) -> Expression:
             k = token[1]
             children = tuple(stack[:-k - 1:-1])
             del stack[-k:]
-            stack.append(Expression(op=token[0], children=children))
+            stack.append(node(token[0], *children))
     (tree,) = stack
     return tree
 
@@ -245,41 +249,37 @@ def same_constant(a: float, b: float, rel_tol: float = CONST_REL_TOL) -> bool:
     return a == b or math.isclose(a, b, rel_tol=rel_tol, abs_tol=0.0)
 
 
+def _key(node: Expression) -> tuple:
+    if node.op is not None:
+        return (0, _OP_RANK[node.op], len(node.children))
+    if node.value is not None:
+        return (1, node.value)
+    return (2, node.index)
+
+
+def _keys(tree: Expression):
+    """Each node's key in preorder. Operand counts make the stream
+    prefix-free, so the first pair of keys that differ decides between trees."""
+    return map(_key, preorder(tree))
+
+
 def structurally_equal(a: Expression, b: Expression) -> bool:
     """Structural equality with constants compared by ``same_constant``."""
-    if a.is_constant:
-        return b.is_constant and same_constant(a.value, b.value)
-    if a.is_variable:
-        return b.is_variable and a.index == b.index
-    if not b.is_operator or a.op != b.op or len(a.children) != len(b.children):
-        return False
-    return all(structurally_equal(x, y) for x, y in zip(a.children, b.children))
+    for x, y in zip(_keys(a), _keys(b)):
+        if x != y and not (x[0] == y[0] == 1 and same_constant(x[1], y[1])):
+            return False
+    return True
 
 
 def compare(a: Expression, b: Expression) -> int:
     """Total order on trees: operators < constants < variables, then by
-    operator rank / value / index, then recursively on children.
+    operator rank / value / index, then by operand count, node by node in
+    preorder.
 
     Constants order by exact value so that sorting never depends on the
     input order; the folding tolerance applies only to equality grouping.
     """
-    ka = 0 if a.is_operator else (1 if a.is_constant else 2)
-    kb = 0 if b.is_operator else (1 if b.is_constant else 2)
-    if ka != kb:
-        return -1 if ka < kb else 1
-    if ka == 1:
-        if a.value == b.value:
-            return 0
-        return -1 if a.value < b.value else 1
-    if ka == 2:
-        return (a.index > b.index) - (a.index < b.index)
-    ra, rb = _OP_RANK[a.op], _OP_RANK[b.op]
-    if ra != rb:
-        return -1 if ra < rb else 1
-    if len(a.children) != len(b.children):
-        return -1 if len(a.children) < len(b.children) else 1
-    for x, y in zip(a.children, b.children):
-        c = compare(x, y)
-        if c != 0:
-            return c
+    for x, y in zip(_keys(a), _keys(b)):
+        if x != y:
+            return -1 if x < y else 1
     return 0

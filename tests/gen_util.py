@@ -64,16 +64,19 @@ ALL_OPERATORS = [("add", None), ("mul", None), ("pow", 2), ("div", 2), ("sin", 1
                  ("sqrt", 1)]
 
 
-def random_raw_expression(rng: random.Random, max_depth=5, n_vars=3) -> Expression:
+def random_raw_expression(rng: random.Random, max_depth=5, n_vars=3,
+                          constants=CONSTANT_POOL) -> Expression:
     """Seeded tree over all 13 operators, each equally likely, with any
-    subtree as either operand of ``pow`` and ``div``."""
+    subtree as either operand of ``pow`` and ``div``, and constant leaves
+    drawn from ``constants``."""
     if max_depth <= 1 or rng.random() < 0.25:
         if rng.random() < 0.3:
-            return const(rng.choice(CONSTANT_POOL))
+            return const(rng.choice(constants))
         return var(rng.randrange(n_vars))
     name, arity = rng.choice(ALL_OPERATORS)
     n = rng.choice([2, 2, 3]) if arity is None else arity
-    return op_node(name, *(random_raw_expression(rng, max_depth - 1, n_vars) for _ in range(n)))
+    return op_node(name, *(random_raw_expression(rng, max_depth - 1, n_vars, constants)
+                           for _ in range(n)))
 
 
 # Skeleton tokens with their arities, listed here rather than read from the

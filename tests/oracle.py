@@ -22,6 +22,10 @@ dynamic program they check, not even its token decoder.
 * :func:`recursive_skeletonize` writes a skeleton's tokens by recursion;
   ``skeletonize``, which walks the tree with an explicit stack, must give
   the same token tuple.
+* :func:`recursive_compare` and :func:`recursive_structurally_equal` are
+  the tree order and the tolerant equality as first written, one recursive
+  call per tree level. ``compare`` and ``structurally_equal``, which zip the
+  two trees' preorder key streams, must give the same answers.
 * :func:`line_write_text` and :func:`line_read_values` are the dataset
   writer and reader as they were written before ``np.loadtxt``: one
   ``repr`` per cell, and one ``float`` per cell of ``str.splitlines``.
@@ -234,6 +238,48 @@ def recursive_skeletonize(expr: Expression) -> tuple[str, ...]:
     n = len(expr.children)
     token = f"{expr.op}{n}" if expr.op in ("add", "mul") else expr.op
     return (token,) + sum((recursive_skeletonize(c) for c in expr.children), ())
+
+
+# The canonical operator rank and the constant tolerance, written out here
+# rather than read from the code under test.
+OPERATOR_RANK = {name: i for i, name in enumerate(
+    ["add", "mul", "pow", "sin", "cos", "tan", "tanh", "exp", "log", "abs", "div", "neg", "sqrt"])}
+CONSTANT_REL_TOL = 1e-12
+
+
+def recursive_compare(a: Expression, b: Expression) -> int:
+    ka = 0 if a.is_operator else (1 if a.is_constant else 2)
+    kb = 0 if b.is_operator else (1 if b.is_constant else 2)
+    if ka != kb:
+        return -1 if ka < kb else 1
+    if ka == 1:
+        if a.value == b.value:
+            return 0
+        return -1 if a.value < b.value else 1
+    if ka == 2:
+        return (a.index > b.index) - (a.index < b.index)
+    ra, rb = OPERATOR_RANK[a.op], OPERATOR_RANK[b.op]
+    if ra != rb:
+        return -1 if ra < rb else 1
+    if len(a.children) != len(b.children):
+        return -1 if len(a.children) < len(b.children) else 1
+    for x, y in zip(a.children, b.children):
+        c = recursive_compare(x, y)
+        if c != 0:
+            return c
+    return 0
+
+
+def recursive_structurally_equal(a: Expression, b: Expression) -> bool:
+    if a.is_constant:
+        return b.is_constant and (
+            a.value == b.value
+            or math.isclose(a.value, b.value, rel_tol=CONSTANT_REL_TOL, abs_tol=0.0))
+    if a.is_variable:
+        return b.is_variable and a.index == b.index
+    if not b.is_operator or a.op != b.op or len(a.children) != len(b.children):
+        return False
+    return all(recursive_structurally_equal(x, y) for x, y in zip(a.children, b.children))
 
 
 def line_write_text(values: np.ndarray) -> str:

@@ -1,25 +1,33 @@
+import hashlib
 import math
 import random
 
 import pytest
 from hypothesis import given, settings
 
+from srsdkit.catalog import builtin_problems
 from srsdkit.expr import (
     DomainFault,
     add,
     canonicalize,
+    compare,
     const,
     div,
     evaluate,
+    expression_to_prefix,
+    from_program,
     mul,
     neg,
     op_node,
     parse,
     pow_,
+    structurally_equal,
+    to_program,
     var,
 )
 
-from gen_util import expressions, random_expression
+from gen_util import CONSTANT_POOL, expressions, random_expression, random_raw_expression
+from oracle import recursive_compare, recursive_structurally_equal
 
 
 def canon_text(text, names, consts=None):
@@ -169,3 +177,55 @@ def test_constant_offset_difference_reduces_to_constant():
     pred = add(parse("mu * Nn", ["mu", "Nn"]), const(7.0))
     diff = canonicalize(add(pred, neg(f)))
     assert diff == const(7.0)
+
+
+EXTREME_CONSTANTS = [1e308, -1e308, 5e-324, -0.0, 1.0000000000001]
+
+# sha256 of the canonical prefix lines of the trees in the test below,
+# recorded while canonicalization was still a recursive pass.
+CANONICAL_FORMS_DIGEST = "08f3b0b2e356d04e1b50435347c575b839df2a981f5119768b7785d8cd8b6b74"
+
+
+def test_canonical_forms_are_pinned():
+    trees = [spec.expression for spec in builtin_problems()]
+    rng = random.Random(1302)
+    trees += [random_raw_expression(rng) for _ in range(1000)]
+    trees += [random_raw_expression(rng, constants=CONSTANT_POOL + EXTREME_CONSTANTS)
+              for _ in range(2000)]
+    digest = hashlib.sha256()
+    for e in trees:
+        digest.update(" ".join(expression_to_prefix(canonicalize(e))).encode() + b"\n")
+    assert digest.hexdigest() == CANONICAL_FORMS_DIGEST
+
+
+def _with_constants(e, f):
+    """``e`` with every constant ``v`` replaced by ``f(v)``."""
+    return from_program(tuple(f(t) if type(t) is float else t for t in to_program(e)))
+
+
+def test_order_and_equality_match_the_recursive_reference():
+    rng = random.Random(4242)
+    pool = [-1.0, -0.0, 0.0, 0.5, 1.0, 2.0]
+    pairs = []
+    for _ in range(1000):
+        a = random_raw_expression(rng, max_depth=4, constants=pool)
+        pairs += [
+            (a, random_raw_expression(rng, max_depth=4, constants=pool)),
+            (a, _with_constants(a, float)),
+            (a, _with_constants(a, lambda v: -v if v == 0.0 else v)),
+            (a, _with_constants(a, lambda v: v * (1 + 4e-13))),
+            (a, _with_constants(a, lambda v: v * (1 + 1e-9))),
+        ]
+    verdicts = set()
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            order = recursive_compare(x, y)
+            same = recursive_structurally_equal(x, y)
+            assert compare(x, y) == order
+            assert (x == y) == (order == 0)
+            assert structurally_equal(x, y) == same
+            verdicts.add((order, same))
+        if a == b:
+            assert hash(a) == hash(b)
+    # Equal, tolerantly equal but ordered, and different pairs all occur.
+    assert verdicts == {(0, True), (-1, True), (1, True), (-1, False), (1, False)}

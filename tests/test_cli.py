@@ -230,7 +230,7 @@ def test_catalog_that_is_not_utf8_is_data_error(tmp_path, capsys, command):
     assert err == f"error: {catalog_path}: not UTF-8 text (invalid start byte at byte offset 1)\n"
 
 
-def test_deeply_nested_expression_is_data_error(tmp_path, easy_data, capsys):
+def test_deeply_nested_prediction_is_scored(tmp_path, easy_data, capsys):
     deep = "sin " * 3000 + "X1\n"
     pred = tmp_path / "deep.txt"
     pred.write_text(deep)
@@ -240,25 +240,29 @@ def test_deeply_nested_expression_is_data_error(tmp_path, easy_data, capsys):
     code, out, _ = run(capsys, "ned", "--pred", str(pred), "--truth", str(truth))
     assert code == 0
     assert json.loads(out) == {"ned": 1.0, "edit_distance": 3000.0, "truth_nodes": 1}
-    # Canonicalization still recurses.
+    # So are canonicalization and the tree order: eval scores a deeper one.
     preds = tmp_path / "preds"
     preds.mkdir()
-    (preds / "I.12.1.txt").write_text(deep)
-    code, _, err = run(capsys, "eval", "--pred-dir", str(preds),
+    (preds / "I.12.1.txt").write_text("sin " * 10_000 + "X1\n")
+    code, out, _ = run(capsys, "eval", "--pred-dir", str(preds),
                        "--data-dir", str(easy_data))
-    assert code == 2
-    assert "nested too deeply" in err
-
-
-def test_eval_scores_a_prediction_nested_200_deep(tmp_path, easy_data, capsys):
-    # Canonicalization recurses, but 200 levels are within the default limit.
-    preds = tmp_path / "preds"
-    preds.mkdir()
-    (preds / "I.12.1.txt").write_text("sin " * 200 + "X1\n")
-    code, out, _ = run(capsys, "eval", "--pred-dir", str(preds), "--data-dir", str(easy_data))
     assert code == 0
     (row,) = [row for row in json.loads(out)["problems"] if row["id"] == "I.12.1"]
     assert row["normalized_edit_distance"] == 1.0
+
+
+def test_formula_nested_too_deeply_to_parse_is_data_error(tmp_path, capsys):
+    from srsdkit.catalog import builtin_problems, dumps
+
+    text = dumps(builtin_problems("easy")[:1])
+    formula = json.loads(text)[0]["formula"]
+    catalog_path = tmp_path / "deep.json"
+    catalog_path.write_text(text.replace(json.dumps(formula),
+                                         json.dumps("(" * 2000 + formula + ")" * 2000)))
+    code, _, err = run(capsys, "generate", "--catalog", str(catalog_path), "--set", "easy",
+                       "--rows", "10", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err == "error: expression is nested too deeply to process\n"
 
 
 def test_malformed_constants_are_data_errors(tmp_path, easy_data, capsys):

@@ -9,6 +9,7 @@ from srsdkit.datagen import read_true_equation
 from srsdkit.expr import (
     DecodeError,
     canonicalize,
+    compare,
     const,
     constant_values,
     count_ops,
@@ -19,6 +20,7 @@ from srsdkit.expr import (
     parse,
     prefix_to_expression,
     skeletonize,
+    structurally_equal,
     var,
 )
 from srsdkit.expr.nodes import preorder
@@ -52,8 +54,7 @@ def test_count_ops():
 
 def test_node_count_recurrence():
     e = canonicalize(parse("a*b + sin(a)", ["a", "b"]))
-    assert e.node_count() == 1 + sum(c.node_count() for c in e.children)
-    assert len(skeletonize(e)) == e.node_count() == 6
+    assert len(skeletonize(e)) == 1 + sum(len(skeletonize(c)) for c in e.children) == 6
 
 
 def test_preorder_tokens_carry_arity_suffix():
@@ -151,10 +152,12 @@ def test_skeletonize_matches_recursive_reference():
 
 
 def test_tree_walks_handle_a_deep_chain(tmp_path):
-    depth = 3000
+    depth = 10_000
     e = mul(const(2.5), var(1))
+    other = mul(const(2.5), var(0))
     for _ in range(depth):
         e = op_node("sin", e)
+        other = op_node("sin", other)
     tokens = ["sin"] * depth + ["mul2", "C", "X2"]
     path = tmp_path / "true_eq.txt"
     path.write_text(" ".join(tokens) + "\n2.5\n")
@@ -162,7 +165,6 @@ def test_tree_walks_handle_a_deep_chain(tmp_path):
     sys.setrecursionlimit(1000)  # the interpreter's default
     try:
         assert sum(1 for _ in preorder(e)) == depth + 3
-        assert e.node_count() == depth + 3
         assert e.variables() == {1}
         assert count_ops(e) == depth + 1
         assert constant_values(e) == [2.5]
@@ -171,5 +173,10 @@ def test_tree_walks_handle_a_deep_chain(tmp_path):
         assert expression_to_prefix(e) == tokens[:-2] + ["2.5", "X2"]
         assert expression_to_prefix(read_true_equation(path)) == expression_to_prefix(e)
         assert edit_distance(s, ["X2"]) == depth + 2
+        c = canonicalize(e)
+        assert c == e and hash(c) == hash(e)
+        assert compare(c, e) == 0 and structurally_equal(c, e)
+        assert other != e and compare(other, e) == -1 and compare(e, other) == 1
+        assert not structurally_equal(other, e)
     finally:
         sys.setrecursionlimit(limit)
