@@ -8,9 +8,12 @@ Example:
 """
 
 import argparse
+import contextlib
+import io
+import json
 import statistics
 
-from srsdkit.catalog import BUILTIN_SETS, builtin_problems, emit_scatter
+from srsdkit.catalog import BUILTIN_SETS
 from srsdkit.cli import main as cli
 
 
@@ -19,16 +22,20 @@ def main():
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
 
-    code = cli(["complexity", "--out", args.out])
+    # The command writes the CSV and prints the same rows as JSON.
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        code = cli(["complexity", "--out", args.out])
     if code != 0:
         raise SystemExit(code)
+    rows = json.loads(report.getvalue())["rows"]
 
     for set_name in BUILTIN_SETS:
-        rows = emit_scatter(builtin_problems(set_name))
-        ops = [r[1] for r in rows]
-        ranges = [r[2] for r in rows if r[2] is not None]
+        group = [r for r in rows if r["set"] == set_name]
+        ops = [r["op_count"] for r in group]
+        ranges = [r["domain_range"] for r in group if r["domain_range"] is not None]
         print(
-            f"{set_name:<8} n={len(rows):<3} median ops={statistics.median(ops):.1f} "
+            f"{set_name:<8} n={len(group):<3} median ops={statistics.median(ops):.1f} "
             f"median domain range={statistics.median(ranges):.2f}"
         )
     print(f"csv: {args.out}")

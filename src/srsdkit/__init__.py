@@ -20,7 +20,6 @@ from .treedist import distance_result, edit_distance, normalized_edit_distance
 from .catalog import ProblemSpec, builtin_problems, load_builtin, load_file
 from .datagen import Dataset, derive_seed, inject_noise, sample, split
 from .evalkit import (
-    EvalReport,
     is_symbolic_solution,
     r_squared,
     select_best,
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset",
-    "EvalReport",
     "Expression",
     "GPConfig",
     "ProblemSpec",

@@ -101,12 +101,6 @@ class ProblemSpec:
         return skeletonize(self.canonical_expression)
 
 
-@dataclass(frozen=True)
-class ComplexityScore:
-    op_count: int
-    domain_range: float | None  # None marks a degenerate sampling domain
-
-
 # ---------------------------------------------------------------------------
 # JSON schema
 # ---------------------------------------------------------------------------
@@ -265,17 +259,16 @@ def domain_range(spec: ProblemSpec) -> float | None:
     return abs(math.log10(abs(spread)))
 
 
-def complexity(spec: ProblemSpec) -> ComplexityScore:
-    return ComplexityScore(
-        op_count=count_ops(spec.canonical_expression),
-        domain_range=domain_range(spec),
-    )
-
-
-def emit_scatter(specs: list[ProblemSpec]) -> list[tuple[str, int, float | None, str]]:
-    """Rows (id, op_count, domain_range, set) for external plotting."""
-    rows = []
-    for spec in specs:
-        score = complexity(spec)
-        rows.append((spec.id, score.op_count, score.domain_range, spec.set_name))
-    return rows
+def emit_scatter(specs: list[ProblemSpec]) -> list[dict]:
+    """The ``complexity`` report rows, for external plotting: ``id``,
+    ``op_count`` of the canonical tree, ``domain_range`` (None for a
+    degenerate sampling domain) and ``set``."""
+    return [
+        {
+            "id": spec.id,
+            "op_count": count_ops(spec.canonical_expression),
+            "domain_range": domain_range(spec),
+            "set": spec.set_name,
+        }
+        for spec in specs
+    ]

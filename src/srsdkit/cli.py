@@ -214,7 +214,7 @@ def cmd_eval(args) -> int:
     data_root = Path(args.data_dir)
     pred_root = Path(args.pred_dir)
     set_names = _set_names_from_manifest(data_root)
-    reports = []
+    rows = []
     skipped = []
     for pdir in _problem_dirs(data_root):
         pid = pdir.name
@@ -227,7 +227,7 @@ def cmd_eval(args) -> int:
         val_path = pdir / "val.txt"
         validation = datagen.read(val_path) if val_path.is_file() else None
         try:
-            report = evalkit.evaluate_against(
+            row = evalkit.evaluate_against(
                 pred,
                 truth,
                 test,
@@ -238,12 +238,16 @@ def cmd_eval(args) -> int:
             )
         except VariableIndexError as err:
             raise datagen.DataError(f"{pid}: invalid prediction: {err}") from None
-        reports.append(report)
-    if not reports:
+        rows.append(row)
+    if not rows:
         raise datagen.DataError(f"no predictions found under {pred_root}")
-    payload = evalkit.report_payload(reports, evalkit.summarize(reports))
-    payload["skipped"] = sorted(skipped)
-    payload["tau"] = args.tau
+    rows.sort(key=lambda row: row["id"])
+    payload = {
+        "problems": rows,
+        "summary": evalkit.summarize(rows),
+        "skipped": sorted(skipped),
+        "tau": args.tau,
+    }
     _emit(payload, args.out)
     return 0
 
@@ -257,19 +261,12 @@ def cmd_complexity(args) -> int:
     rows = cat.emit_scatter(specs)
     if args.out:
         lines = ["id,op_count,domain_range,set"]
-        for pid, ops, rng, set_name in rows:
+        for row in rows:
+            rng = row["domain_range"]
             rng_text = "" if rng is None else repr(rng)
-            lines.append(f"{pid},{ops},{rng_text},{set_name}")
+            lines.append(f"{row['id']},{row['op_count']},{rng_text},{row['set']}")
         Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _emit(
-        {
-            "rows": [
-                {"id": pid, "op_count": ops, "domain_range": rng, "set": set_name}
-                for pid, ops, rng, set_name in rows
-            ]
-        },
-        None,
-    )
+    _emit({"rows": rows}, None)
     return 0
 
 
@@ -283,7 +280,7 @@ def cmd_synth(args) -> int:
     _check_rows(args.rows, datagen.DEFAULT_RATIOS)
     seed = _master_seed(args.seed)
     specs = _load_specs(args.catalog, "all")
-    model = synthgen.train_bigram(synthgen.catalog_token_corpus(specs), alpha=args.alpha)
+    model = synthgen.train_bigram([s.skeleton for s in specs], alpha=args.alpha)
     out_root = Path(args.out)
     eq_dir = out_root / "equations"
     eq_dir.mkdir(parents=True, exist_ok=True)

@@ -1,5 +1,5 @@
 """Scoring: R-squared accuracy, symbolic solution detection, relative-error
-model selection, normalized edit distance aggregation, and report assembly.
+model selection, and the per-problem report rows with their per-set summary.
 
 R-squared here is the standard coefficient of determination
 ``1 - SSE/SST``; a prediction that faults anywhere on the test rows scores
@@ -14,7 +14,6 @@ the canonicalizer's rewrite rules; an undecided case reports False).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,18 +40,6 @@ class ZeroVarianceError(ValueError):
 
 class NoViableCandidateError(ValueError):
     """Every candidate scored infinitely badly on the validation rows."""
-
-
-@dataclass
-class EvalReport:
-    problem_id: str
-    set_name: str
-    r_squared: float
-    accuracy_hit: bool
-    symbolic_solution: bool
-    edit_distance: float
-    normalized_edit_distance: float
-    selection_score: float | None = None
 
 
 def r_squared(predictions, targets) -> float:
@@ -130,8 +117,11 @@ def evaluate_against(
     set_name: str = "unknown",
     tau: float = DEFAULT_TAU,
     validation: Dataset | None = None,
-) -> EvalReport:
-    """Score a prediction against an explicit truth expression."""
+) -> dict:
+    """Score a prediction against an explicit truth expression: the report
+    row ``eval`` prints. ``r_squared`` and ``selection_score`` are ``None``
+    when not finite; ``selection_score`` is also ``None`` without
+    ``validation`` rows."""
     pred_canonical = canonicalize(pred)
     truth_canonical = canonicalize(truth)
     dist = distance_result(skeletonize(pred_canonical), skeletonize(truth_canonical))
@@ -140,64 +130,38 @@ def evaluate_against(
         score = -math.inf  # faults on test rows are not masked
     else:
         score = r_squared(values, test.y)
-    return EvalReport(
-        problem_id=problem_id,
-        set_name=set_name,
-        r_squared=score,
-        accuracy_hit=score > tau,
-        symbolic_solution=is_symbolic_solution(pred, truth_canonical),
-        edit_distance=dist.raw,
-        normalized_edit_distance=dist.normalized,
-        selection_score=(
-            relative_error_score(pred_canonical, validation.X, validation.y)
-            if validation is not None
-            else None
-        ),
-    )
+    selection = math.inf
+    if validation is not None:
+        selection = relative_error_score(pred_canonical, validation.X, validation.y)
+    return {
+        "id": problem_id,
+        "set": set_name,
+        "r_squared": score if math.isfinite(score) else None,
+        "accuracy_hit": score > tau,
+        "symbolic_solution": is_symbolic_solution(pred, truth_canonical),
+        "edit_distance": dist.raw,
+        "normalized_edit_distance": dist.normalized,
+        "selection_score": selection if math.isfinite(selection) else None,
+    }
 
 
-def summarize(reports: list[EvalReport]) -> dict[str, dict]:
-    """The JSON-ready per-set table, counted from the rows: the rates are
-    shares of ``accuracy_hit`` and ``symbolic_solution``, so accuracy uses
-    the τ the rows were scored with."""
-    if not reports:
+def summarize(rows: list[dict]) -> dict[str, dict]:
+    """The JSON-ready per-set table, counted from the report rows of
+    :func:`evaluate_against`: the rates are shares of ``accuracy_hit`` and
+    ``symbolic_solution``, so accuracy uses the τ the rows were scored with."""
+    if not rows:
         raise ValueError("cannot summarize an empty report list")
-    names = [s for s in BUILTIN_SETS if any(r.set_name == s for r in reports)]
-    names += sorted({r.set_name for r in reports} - set(BUILTIN_SETS))
+    names = [s for s in BUILTIN_SETS if any(r["set"] == s for r in rows)]
+    names += sorted({r["set"] for r in rows} - set(BUILTIN_SETS))
     summary = {}
     for name in names:
-        group = [r for r in reports if r.set_name == name]
+        group = [r for r in rows if r["set"] == name]
         summary[name] = {
             "count": len(group),
-            "accuracy_rate": sum(r.accuracy_hit for r in group) / len(group),
-            "solution_rate": sum(r.symbolic_solution for r in group) / len(group),
+            "accuracy_rate": sum(r["accuracy_hit"] for r in group) / len(group),
+            "solution_rate": sum(r["symbolic_solution"] for r in group) / len(group),
             "mean_normalized_edit_distance": (
-                sum(r.normalized_edit_distance for r in group) / len(group)
+                sum(r["normalized_edit_distance"] for r in group) / len(group)
             ),
         }
     return summary
-
-
-def _json_float(x: float | None) -> float | None:
-    if x is None or not math.isfinite(x):
-        return None
-    return x
-
-
-def report_payload(reports: list[EvalReport], summary: dict[str, dict]) -> dict:
-    """JSON-ready document with a stable ordering for diffability;
-    ``summary`` is :func:`summarize` of the same reports."""
-    problems = [
-        {
-            "id": r.problem_id,
-            "set": r.set_name,
-            "r_squared": _json_float(r.r_squared),
-            "accuracy_hit": r.accuracy_hit,
-            "symbolic_solution": r.symbolic_solution,
-            "edit_distance": r.edit_distance,
-            "normalized_edit_distance": r.normalized_edit_distance,
-            "selection_score": _json_float(r.selection_score),
-        }
-        for r in sorted(reports, key=lambda r: r.problem_id)
-    ]
-    return {"problems": problems, "summary": summary}

@@ -146,11 +146,21 @@ class Expression:
         return hash(tuple(_keys(self)))
 
     def __repr__(self):
-        if self.is_constant:
-            return f"const({self.value!r})"
-        if self.is_variable:
-            return f"var({self.index})"
-        return f"{self.op}({', '.join(repr(c) for c in self.children)})"
+        # One fold over the reversed preorder, as in from_program: each
+        # operator takes its operands' text from the top of the stack.
+        stack: list[str] = []
+        for node in reversed(list(preorder(self))):
+            if node.is_constant:
+                stack.append(f"const({node.value!r})")
+            elif node.is_variable:
+                stack.append(f"var({node.index})")
+            else:
+                k = len(node.children)
+                operands = ", ".join(stack[:-k - 1:-1])
+                del stack[-k:]
+                stack.append(f"{node.op}({operands})")
+        (text,) = stack
+        return text
 
 
 def preorder(tree: Expression):

@@ -81,14 +81,6 @@ def _is_unary(op: str) -> bool:
     return op != "sub" and OPERATORS[op].arity == 1
 
 
-def allowed_node_operators(config: GPConfig) -> set[str]:
-    """Raw-tree operators an evolved expression may contain."""
-    out: set[str] = set()
-    for op in config.operators:
-        out.update(("add", "neg")) if op == "sub" else out.add(op)
-    return out
-
-
 _ADD = operator_token("add", 2)
 _NEG = operator_token("neg", 1)
 

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import ProblemSpec, VariableSpec, loguniform
-from .datagen import Dataset
 from .expr import (
     Expression,
     canonicalize,
@@ -84,10 +83,6 @@ def train_bigram(corpus: list[Sequence[str]], alpha: float = 1.0) -> BigramModel
             model.context_totals[prev] = model.context_totals.get(prev, 0) + 1
             prev = tok
     return model
-
-
-def catalog_token_corpus(specs: list[ProblemSpec]) -> list[tuple[str, ...]]:
-    return [spec.skeleton for spec in specs]
 
 
 def _feasible(token: str, open_slots: int, used: int, max_tokens: int) -> bool:
@@ -220,20 +215,6 @@ class LeakageItem:
     skeleton: tuple[str, ...]
     ranges: tuple[tuple[float, float], ...] | None
 
-    @classmethod
-    def from_dataset(cls, spec: ProblemSpec, ds: Dataset) -> "LeakageItem":
-        return cls(id=spec.id, skeleton=spec.skeleton, ranges=observed_ranges(ds.X))
-
-
-@dataclass(frozen=True)
-class LeakagePair:
-    """A skeleton-identical (target, synthetic) pair and its range IoUs."""
-
-    target_id: str
-    synth_id: str
-    iou_per_variable: tuple[float, ...]
-    iou: float
-
 
 @dataclass(frozen=True)
 class EquationLeakage:
@@ -245,7 +226,6 @@ class EquationLeakage:
 
 @dataclass(frozen=True)
 class LeakageResult:
-    pairs: list[LeakagePair]  # skeleton-identical pairs only, in target then corpus order
     per_equation: list[EquationLeakage]
     mean_iou: float           # mean over targets of the worst-case (max) pair IoU
     mean_of_mean_iou: float   # mean over targets of the mean pair IoU
@@ -268,15 +248,12 @@ def leakage_report(
     by_skeleton: dict[tuple[str, ...], list[LeakageItem]] = {}
     for synth in corpus:
         by_skeleton.setdefault(synth.skeleton, []).append(synth)
-    pairs: list[LeakagePair] = []
     per_equation: list[EquationLeakage] = []
     for target in targets:
         match_ious: list[float] = []
         for synth in by_skeleton.get(target.skeleton, ()):
             ious = tuple(domain_iou(a, b) for a, b in zip(_ranges(synth), _ranges(target)))
-            pair_iou = sum(ious) / len(ious) if ious else 0.0
-            match_ious.append(pair_iou)
-            pairs.append(LeakagePair(target.id, synth.id, ious, pair_iou))
+            match_ious.append(sum(ious) / len(ious) if ious else 0.0)
         per_equation.append(
             EquationLeakage(
                 target_id=target.id,
@@ -288,7 +265,6 @@ def leakage_report(
     mean_iou = sum(e.max_iou for e in per_equation) / len(per_equation)
     mean_of_means = sum(e.mean_iou for e in per_equation) / len(per_equation)
     return LeakageResult(
-        pairs=pairs,
         per_equation=per_equation,
         mean_iou=mean_iou,
         mean_of_mean_iou=mean_of_means,

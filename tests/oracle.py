@@ -240,6 +240,15 @@ def recursive_skeletonize(expr: Expression) -> tuple[str, ...]:
     return (token,) + sum((recursive_skeletonize(c) for c in expr.children), ())
 
 
+def recursive_repr(expr: Expression) -> str:
+    """``repr`` of a tree as the dataclass-era recursive method wrote it."""
+    if expr.is_constant:
+        return f"const({expr.value!r})"
+    if expr.is_variable:
+        return f"var({expr.index})"
+    return f"{expr.op}({', '.join(recursive_repr(c) for c in expr.children)})"
+
+
 # The canonical operator rank and the constant tolerance, written out here
 # rather than read from the code under test.
 OPERATOR_RANK = {name: i for i, name in enumerate(

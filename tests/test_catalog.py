@@ -7,11 +7,9 @@ import pytest
 from srsdkit.catalog import (
     BUILTIN_SETS,
     CatalogError,
-    ComplexityScore,
     ProblemSpec,
     VariableSpec,
     builtin_problems,
-    complexity,
     domain_range,
     dumps,
     emit_scatter,
@@ -165,15 +163,16 @@ def test_domain_range_requires_a_ranged_variable():
 
 
 def test_complexity_op_count():
-    assert complexity(load_builtin("I.12.1")) == ComplexityScore(
-        op_count=1, domain_range=domain_range(load_builtin("I.12.1"))
-    )
+    spec = load_builtin("I.12.1")
+    assert emit_scatter([spec]) == [
+        {"id": "I.12.1", "op_count": 1, "domain_range": domain_range(spec), "set": "easy"}
+    ]
 
 
 def test_emit_scatter_rows():
     rows = emit_scatter(builtin_problems("easy"))
     assert len(rows) == 30
-    assert all(r[3] == "easy" for r in rows)
+    assert all(r["set"] == "easy" for r in rows)
     assert emit_scatter([]) == []
     counts = {s: len(emit_scatter(builtin_problems(s))) for s in BUILTIN_SETS}
     assert counts == {"easy": 30, "medium": 40, "hard": 50}

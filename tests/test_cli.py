@@ -126,6 +126,8 @@ def test_eval_identical_dirs(easy_data, capsys):
     assert summary["mean_normalized_edit_distance"] == 0.0
     assert summary["count"] == 30
     assert payload["problems"][0]["selection_score"] == 0.0
+    ids = [p["id"] for p in payload["problems"]]
+    assert ids == sorted(ids)
 
 
 def test_eval_summary_counts_rows_scored_with_tau(easy_data, capsys):

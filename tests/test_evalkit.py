@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import warnings
@@ -8,18 +9,26 @@ import pytest
 from srsdkit.catalog import load_builtin
 from srsdkit.datagen import Dataset, derive_seed, sample, split
 from srsdkit.evalkit import (
-    EvalReport,
     NoViableCandidateError,
     ZeroVarianceError,
     evaluate_against,
     is_symbolic_solution,
     r_squared,
     relative_error_score,
-    report_payload,
     select_best,
     summarize,
 )
-from srsdkit.expr import add, const, evaluate_many, mul, op_node, parse, to_program, var
+from srsdkit.expr import (
+    add,
+    canonicalize,
+    const,
+    evaluate_many,
+    mul,
+    op_node,
+    parse,
+    to_program,
+    var,
+)
 
 from gen_util import random_expression
 from oracle import masked_relative_error_score
@@ -56,11 +65,12 @@ def test_r_squared_shape_validation():
 
 
 def _report(pid, set_name, r2, sol, ned):
-    return EvalReport(
-        problem_id=pid, set_name=set_name, r_squared=r2,
-        accuracy_hit=r2 > 0.999, symbolic_solution=sol,
-        edit_distance=ned * 4, normalized_edit_distance=ned,
-    )
+    return {
+        "id": pid, "set": set_name, "r_squared": r2,
+        "accuracy_hit": r2 > 0.999, "symbolic_solution": sol,
+        "edit_distance": ned * 4, "normalized_edit_distance": ned,
+        "selection_score": None,
+    }
 
 
 def _rates(reports):
@@ -224,11 +234,12 @@ def test_evaluate_problem_exact_prediction():
     train, val, test = split(sample(spec, 1000, 3))
     report = evaluate_against(spec.expression, spec.canonical_expression, test, spec.id,
                               spec.set_name, validation=val)
-    assert report.normalized_edit_distance == 0.0
-    assert report.symbolic_solution
-    assert report.r_squared == 1.0
-    assert report.accuracy_hit
-    assert report.selection_score == 0.0
+    assert report["normalized_edit_distance"] == 0.0
+    assert report["symbolic_solution"]
+    assert report["r_squared"] == 1.0
+    assert report["accuracy_hit"]
+    assert report["selection_score"] == 0.0
+    assert (report["id"], report["set"]) == ("I.12.1", "easy")
 
 
 def test_evaluate_problem_partial_structure_match():
@@ -236,17 +247,18 @@ def test_evaluate_problem_partial_structure_match():
     _, _, test = split(sample(spec, 1000, 3))
     pred = parse("0.37 * r^-1.8", ["q1", "r"])
     report = evaluate_against(pred, spec.canonical_expression, test, spec.id, spec.set_name)
-    assert report.normalized_edit_distance == pytest.approx(0.167, abs=5e-4)
-    assert not report.symbolic_solution
+    assert report["normalized_edit_distance"] == pytest.approx(0.167, abs=5e-4)
+    assert not report["symbolic_solution"]
 
 
 def test_evaluate_problem_faulting_prediction_scores_minus_inf():
     spec = load_builtin("I.12.4")  # q1 takes both signs, so log(q1) faults
     _, _, test = split(sample(spec, 1000, 3))
     report = evaluate_against(parse("log(q1)", ["q1", "r"]), spec.canonical_expression, test,
-                              spec.id, spec.set_name)
-    assert report.r_squared == -math.inf
-    assert not report.accuracy_hit
+                              spec.id, spec.set_name, tau=-1e300)
+    # The null stands for -inf: the row misses even τ = -1e300.
+    assert report["r_squared"] is None
+    assert not report["accuracy_hit"]
 
 
 def test_ned_zero_implies_solution_for_constant_position_disagreements():
@@ -254,8 +266,8 @@ def test_ned_zero_implies_solution_for_constant_position_disagreements():
     _, _, test = split(sample(spec, 500, 6))
     pred = parse("3.3 * m * z", ["m", "z"])
     report = evaluate_against(pred, spec.canonical_expression, test, spec.id, spec.set_name)
-    assert report.normalized_edit_distance == 0.0
-    assert report.symbolic_solution
+    assert report["normalized_edit_distance"] == 0.0
+    assert report["symbolic_solution"]
 
 
 def test_solution_implies_ned_bounded_by_two_over_truth_size():
@@ -288,11 +300,18 @@ def test_summarize_groups_by_set():
         summarize([])
 
 
-def test_report_payload_is_sorted_and_json_safe():
-    reports = [
-        _report("b", "easy", -math.inf, False, 1.0),
-        _report("a", "easy", 1.0, True, 0.0),
+def test_eval_rows_are_json_safe():
+    # Non-finite scores become null: R² of a faulting prediction, and a
+    # selection score of +inf or of a problem without validation rows.
+    spec = load_builtin("I.12.4")
+    _, val, test = split(sample(spec, 1000, 3))
+    pred = parse("log(-1 - q1^2)", ["q1", "r"])  # faults on every row
+    rows = [
+        evaluate_against(pred, spec.canonical_expression, test, spec.id, spec.set_name,
+                         validation=validation)
+        for validation in (None, val)
     ]
-    payload = report_payload(reports, summarize(reports))
-    assert [p["id"] for p in payload["problems"]] == ["a", "b"]
-    assert payload["problems"][1]["r_squared"] is None
+    assert relative_error_score(canonicalize(pred), val.X, val.y) == math.inf
+    for row in rows:
+        assert row["r_squared"] is None and row["selection_score"] is None
+        assert json.loads(json.dumps(row, allow_nan=False)) == row

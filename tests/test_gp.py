@@ -17,7 +17,7 @@ from srsdkit.expr import (
     to_program,
 )
 from srsdkit.expr.nodes import preorder
-from srsdkit.gp import GPConfig, allowed_node_operators, evolve, fitness
+from srsdkit.gp import GPConfig, evolve, fitness
 
 
 def _constant_dataset(value=2.0, rows=60, seed=0):
@@ -30,6 +30,11 @@ def _constant_dataset(value=2.0, rows=60, seed=0):
 def _levels(expr) -> int:
     """Depth of a tree; a leaf has depth 1."""
     return 1 + max((_levels(c) for c in expr.children), default=0)
+
+
+def _raw_operators(cfg) -> set[str]:
+    """Operators an evolved raw tree may hold: ``sub`` builds ``add`` and ``neg``."""
+    return {name for op in cfg.operators for name in (("add", "neg") if op == "sub" else (op,))}
 
 
 def test_config_validation():
@@ -85,7 +90,7 @@ def test_depth_bound_and_operator_set_respected():
     train = sample(spec, 300, derive_seed(5, spec.id))
     cfg = GPConfig(population_size=80, generations=8, max_depth=5, seed=7,
                    operators=("add", "mul", "sin"))
-    allowed = allowed_node_operators(cfg)
+    allowed = _raw_operators(cfg)
 
     def ops_of(expr, acc):
         if expr.is_operator:
@@ -124,8 +129,12 @@ def test_discovers_two_variable_product_within_five_seeds():
 
 
 def test_sub_operator_expands_to_add_neg():
-    cfg = GPConfig(operators=("sub",), const_range=None)
-    assert allowed_node_operators(cfg) == {"add", "neg"}
+    spec = load_builtin("I.12.1")
+    train = sample(spec, 100, derive_seed(5, spec.id))
+    cfg = GPConfig(population_size=20, generations=2, seed=3, operators=("sub",),
+                   const_range=None)
+    ops = {n.op for tree in evolve(train, cfg) for n in preorder(tree) if n.is_operator}
+    assert ops == {"add", "neg"}
 
 
 # Top-3 of a small run per (problem, seed), recorded before fitness was
@@ -235,7 +244,7 @@ def test_every_offspring_decodes_within_the_depth_bound(max_depth):
             tree = from_program(child)
             assert to_program(tree) == child
             assert gp._depth(child) == _levels(tree) <= max_depth
-            assert {n.op for n in preorder(tree) if n.is_operator} <= allowed_node_operators(cfg)
+            assert {n.op for n in preorder(tree) if n.is_operator} <= _raw_operators(cfg)
         population[rng.randrange(len(population))] = rng.choice(children)
 
 

@@ -26,8 +26,8 @@ from srsdkit.expr import (
 from srsdkit.expr.nodes import preorder
 from srsdkit.treedist import edit_distance
 
-from gen_util import expressions, random_expression
-from oracle import recursive_skeletonize
+from gen_util import expressions, random_expression, random_raw_expression
+from oracle import recursive_repr, recursive_skeletonize
 
 
 def skel(text, names, consts=None):
@@ -151,6 +151,15 @@ def test_skeletonize_matches_recursive_reference():
         assert skeletonize(e) == recursive_skeletonize(e), e
 
 
+def test_repr_matches_recursive_reference():
+    trees = [spec.expression for spec in builtin_problems()]
+    rng = random.Random(12)
+    constants = (-0.0, 5e-324, 1e308, 2.5, 1.0000000000001)
+    trees += [random_raw_expression(rng, max_depth=6, constants=constants) for _ in range(1000)]
+    for e in trees:
+        assert repr(e) == recursive_repr(e)
+
+
 def test_tree_walks_handle_a_deep_chain(tmp_path):
     depth = 10_000
     e = mul(const(2.5), var(1))
@@ -178,5 +187,6 @@ def test_tree_walks_handle_a_deep_chain(tmp_path):
         assert compare(c, e) == 0 and structurally_equal(c, e)
         assert other != e and compare(other, e) == -1 and compare(e, other) == 1
         assert not structurally_equal(other, e)
+        assert repr(e) == "sin(" * depth + "mul(const(2.5), var(1))" + ")" * depth
     finally:
         sys.setrecursionlimit(limit)

@@ -13,9 +13,9 @@ from srsdkit.synthgen import (
     LeakageItem,
     SynthError,
     assign_ranges,
-    catalog_token_corpus,
     domain_iou,
     leakage_report,
+    observed_ranges,
     range_exponent,
     sample_equation,
     train_bigram,
@@ -24,7 +24,7 @@ from srsdkit.synthgen import (
 
 @pytest.fixture(scope="module")
 def catalog_model():
-    return train_bigram(catalog_token_corpus(builtin_problems()), alpha=1.0)
+    return train_bigram([s.skeleton for s in builtin_problems()], alpha=1.0)
 
 
 def test_bigram_conditionals_sum_to_one(catalog_model):
@@ -134,7 +134,7 @@ def _items(pids, seed=0):
     for pid in pids:
         spec = load_builtin(pid)
         ds = sample(spec, 400, derive_seed(seed, pid))
-        out.append(LeakageItem.from_dataset(spec, ds))
+        out.append(LeakageItem(pid, spec.skeleton, observed_ranges(ds.X)))
     return out
 
 
@@ -160,7 +160,10 @@ def test_leakage_step2_runs_only_for_skeleton_matches():
     targets = _items(["I.12.5", "I.18.16"])  # I.12.5 shares the two-factor skeleton
     result = leakage_report(corpus, targets)
     # exactly one skeleton-identical pair: I.12.1 (corpus) vs I.12.5 (target)
-    assert [(p.synth_id, p.target_id) for p in result.pairs] == [("I.12.1", "I.12.5")]
+    assert [(e.target_id, e.n_matches) for e in result.per_equation] == [
+        ("I.12.5", 1), ("I.18.16", 0)]
+    ious = [domain_iou(a, b) for a, b in zip(corpus[0].ranges, targets[0].ranges)]
+    assert result.per_equation[0].max_iou == sum(ious) / len(ious)
 
 
 def test_leakage_computes_no_edit_distance(monkeypatch):
@@ -178,9 +181,10 @@ def test_leakage_partial_overlap_value():
     corpus = _items(["I.12.5"])
     targets = _items(["I.12.1"])
     result = leakage_report(corpus, targets)
-    (pair,) = result.pairs
-    assert 0.0 < pair.iou < 0.2
-    assert result.mean_iou == pair.iou
+    (eq,) = result.per_equation
+    assert eq.n_matches == 1
+    assert 0.0 < eq.max_iou < 0.2
+    assert result.mean_iou == result.mean_of_mean_iou == eq.max_iou == eq.mean_iou
 
 
 def _unread(item):
@@ -203,7 +207,8 @@ def test_leakage_reads_ranges_only_of_matched_items():
 def test_leakage_without_a_match_reads_no_ranges():
     result = leakage_report([_unread(i) for i in _items(["I.27.6"])],
                             [_unread(i) for i in _items(["I.18.16"])])
-    assert (result.mean_iou, result.mean_of_mean_iou, result.pairs) == (0.0, 0.0, [])
+    assert (result.mean_iou, result.mean_of_mean_iou) == (0.0, 0.0)
+    assert [e.n_matches for e in result.per_equation] == [0]
 
 
 def test_leakage_requires_nonempty_inputs():
