@@ -23,7 +23,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +72,7 @@ def _emit_manifest(manifest: dict, out_root: Path) -> None:
 def _map_workers(func, work: list, workers: int) -> list:
     """``func`` over ``work`` in order; in a process pool when ``workers`` > 1."""
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # one-process runs skip its import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(func, work))
     return [func(w) for w in work]

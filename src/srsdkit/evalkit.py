@@ -73,18 +73,19 @@ def relative_error_score(expr, X: np.ndarray, y: np.ndarray) -> float:
     n_faulted = np.count_nonzero(faulted)
     if 2 * n_faulted > faulted.size:  # exact, and total on 0 rows
         return math.inf
-    usable = ~faulted
-    usable &= np.abs(y) >= TINY_TARGET
+    usable = np.abs(y) >= TINY_TARGET
+    if n_faulted:
+        usable &= ~faulted
     n_usable = np.count_nonzero(usable)
     if n_usable == 0:
         return math.inf
-    if n_usable < usable.size:
-        values, y = values[usable], y[usable]
-    # values is this call's own array, so the ratio is formed in place.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # values is this call's own array: the ratio is formed in place, then skipped rows dropped.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         values -= y
         values /= y
         values *= values
+        if n_usable < usable.size:
+            values = values[usable]
         score = float(np.add.reduce(values) / n_usable)
     return math.inf if math.isnan(score) else score
 

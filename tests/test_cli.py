@@ -1,7 +1,10 @@
 import filecmp
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -580,3 +583,24 @@ def test_workers_do_not_change_output(tmp_path, capsys):
     for path in sorted(a.rglob("*.txt")):
         twin = b / path.relative_to(a)
         assert filecmp.cmp(path, twin, shallow=False), path
+    cfg = tmp_path / "gp.json"
+    cfg.write_text(json.dumps({"population_size": 10, "generations": 1}))
+    for workers, out in (("1", tmp_path / "d1"), ("2", tmp_path / "d2")):
+        code, _, _ = run(capsys, "discover", "--data-dir", str(a), "--gp-config", str(cfg),
+                         "--problems", "I.12.1", "I.12.4", "--workers", workers,
+                         "--out", str(out))
+        assert code == 0
+    for path in sorted((tmp_path / "d1").iterdir()):
+        twin = tmp_path / "d2" / path.name
+        assert filecmp.cmp(path, twin, shallow=False), path
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # The pool's modules load only when a command runs with --workers > 1.
+    probe = ("import sys, srsdkit.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

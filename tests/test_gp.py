@@ -45,6 +45,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GPConfig(max_depth=0)
     with pytest.raises(ValueError):
+        GPConfig(tournament_size=0)
+    with pytest.raises(ValueError):
         GPConfig(operators=("frobnicate",))
 
 
@@ -248,7 +250,7 @@ def test_every_offspring_decodes_within_the_depth_bound(max_depth):
         population[rng.randrange(len(population))] = rng.choice(children)
 
 
-def test_no_tree_is_scored_twice_in_one_generation(monkeypatch):
+def test_no_tree_is_scored_twice_in_one_run(monkeypatch):
     spec = load_builtin("I.34.27")
     train = sample(spec, 200, derive_seed(2, spec.id))
     scored = []
@@ -258,16 +260,29 @@ def test_no_tree_is_scored_twice_in_one_generation(monkeypatch):
         return fitness(expr, data)
 
     monkeypatch.setattr(gp, "fitness", spy)
-    # The run is deterministic, so a run of g + 1 generations repeats the
-    # calls of a run of g generations and then makes generation g + 1's.
-    previous = 0
-    for generations in range(6):
-        scored.clear()
-        evolve(train, GPConfig(population_size=80, generations=generations, seed=1))
-        this_generation = scored[previous:]
-        assert this_generation
-        assert len(set(this_generation)) == len(this_generation)
-        previous = len(scored)
+    evolve(train, GPConfig(population_size=80, generations=5, seed=1))
+    assert len(scored) > 80  # offspring were scored, not only generation 0
+    assert len(set(scored)) == len(scored)
+
+
+def test_a_cleared_score_table_changes_no_output(monkeypatch):
+    spec = load_builtin("I.12.4")
+    train = sample(spec, 200, derive_seed(2, spec.id))
+    cfg = GPConfig(population_size=80, generations=8, top_k=3, seed=1)
+    scored = []
+
+    def spy(expr, data):
+        scored.append(expr)
+        return fitness(expr, data)
+
+    monkeypatch.setattr(gp, "fitness", spy)
+    evolve(train, cfg)
+    unbounded = len(scored)
+    scored.clear()
+    monkeypatch.setattr(gp, "SCORE_TABLE_LIMIT", 16)
+    top = evolve(train, cfg)
+    assert [" ".join(expression_to_prefix(e)) for e in top] == PINNED_TOP_K[("I.12.4", 1)]
+    assert len(scored) > unbounded
 
 
 def test_tournament_draws_as_randrange_does():
@@ -276,10 +291,10 @@ def test_tournament_draws_as_randrange_does():
     for seed in (0, 1, 12345):
         ours, theirs = random.Random(seed), random.Random(seed)
         for n in range(1, 1101):
-            population = [gp.Individual((float(i),), float(i % 7)) for i in range(n)]
+            fitnesses = [float(i % 7) for i in range(n)]
             for k in (1, 5):
-                pick = gp._tournament(population, ours, k)
-                picks = [population[theirs.randrange(n)] for _ in range(k)]
+                pick = gp._tournament(fitnesses, ours, k)
+                picks = [theirs.randrange(n) for _ in range(k)]
                 # The first of the fittest drawn, as min() picks it.
-                assert pick is min(picks, key=lambda ind: ind.fitness)
+                assert pick == min(picks, key=fitnesses.__getitem__)
         assert ours.getstate() == theirs.getstate()
