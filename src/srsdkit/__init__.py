@@ -10,7 +10,6 @@ from .expr import (
     Expression,
     canonicalize,
     count_ops,
-    evaluate,
     evaluate_many,
     parse,
     skeletonize,
@@ -43,7 +42,6 @@ __all__ = [
     "distance_result",
     "domain_iou",
     "edit_distance",
-    "evaluate",
     "evaluate_many",
     "evolve",
     "inject_noise",

@@ -191,13 +191,14 @@ def _problem_dirs(root: Path) -> list[Path]:
 
 def _set_names_from_manifest(root: Path) -> dict[str, str]:
     manifest = root / "manifest.json"
-    names: dict[str, str] = {}
-    if manifest.is_file():
-        payload = json.loads(datagen.read_text(manifest))
-        for entry in payload.get("problems", []):
-            if "id" in entry and "set" in entry:
-                names[entry["id"]] = entry["set"]
-    return names
+    if not manifest.is_file():
+        return {}
+    payload = json.loads(datagen.read_text(manifest))
+    problems = payload.get("problems") if isinstance(payload, dict) else None
+    if not isinstance(problems, list) or not all(isinstance(e, dict) for e in problems):
+        raise datagen.DataError(f"{manifest}: not a JSON object with a 'problems' list of objects")
+    return {e["id"]: e["set"] for e in problems
+            if isinstance(e.get("id"), str) and isinstance(e.get("set"), str)}
 
 
 def _load_prediction(pred_dir: Path, problem_id: str):
@@ -410,12 +411,14 @@ def _load_gp_config(path: str | None, seed: int) -> gp.GPConfig:
             payload = json.loads(datagen.read_text(path))
         except json.JSONDecodeError as err:
             raise datagen.DataError(f"{path}: not valid JSON: {err}") from None
+        if not isinstance(payload, dict):
+            raise datagen.DataError(f"{path}: not a JSON object")
         known = set(gp.GPConfig.__dataclass_fields__)
         unknown = set(payload) - known
         if unknown:
             raise UsageError(f"unknown GP config keys: {sorted(unknown)}")
         for key in ("const_range", "operators"):
-            if key in payload and payload[key] is not None:
+            if isinstance(payload.get(key), list):
                 payload[key] = tuple(payload[key])
         fields.update(payload)
     try:

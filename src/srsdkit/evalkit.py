@@ -48,10 +48,13 @@ def r_squared(predictions, targets) -> float:
     ys = np.asarray(targets, dtype=np.float64)
     if preds.shape != ys.shape or preds.ndim != 1 or preds.size == 0:
         raise ValueError("predictions and targets must be equal-length nonempty vectors")
-    sst = float(np.sum((ys - ys.mean()) ** 2))
-    if sst == 0.0:
-        raise ZeroVarianceError("targets are all identical; R^2 is undefined")
-    sse = float(np.sum((preds - ys) ** 2))
+    # A sum of squares may overflow to inf; the ratio then says what it means
+    # (R^2 of -inf or nan), so numpy's warning is noise.
+    with np.errstate(over="ignore"):
+        sst = float(np.sum((ys - ys.mean()) ** 2))
+        if sst == 0.0:
+            raise ZeroVarianceError("targets are all identical; R^2 is undefined")
+        sse = float(np.sum((preds - ys) ** 2))
     return 1.0 - sse / sst
 
 

@@ -11,8 +11,9 @@ program (``from_program``), with passes repeated until a fixed point:
   * ``div(a, b)  -> mul(a, pow(b, -1))``
   * ``neg(a)     -> mul(-1, a)``
   * ``sqrt(a)    -> pow(a, 0.5)``
-  * constant folding of any operator whose operands are all constants
-    (skipped when folding would fault or produce a non-finite value)
+  * constant folding of any operator whose operands are all constants, with
+    the operator's scalar ``math`` function (skipped when that raises or
+    gives a non-finite value, which is where ``evaluate_many`` faults)
   * flattening of nested ``add``/``mul``
   * ``pow(x, 1) -> x``; ``pow(x, 0) -> 1``
   * ``pow(mul(a, b, ...), k) -> mul(pow(a, k), pow(b, k), ...)`` and
@@ -34,8 +35,8 @@ from __future__ import annotations
 import functools
 import math
 
-from .evaluate import DomainFault, evaluate
 from .nodes import (
+    OPERATORS,
     Expression,
     compare,
     const,
@@ -85,15 +86,15 @@ def _rewrite(op: str, *children: Expression) -> Expression:
 
 
 def _try_fold(node: Expression) -> Expression | None:
+    """The constant value of ``node`` when all its operands are constants and
+    the operator's scalar function gives a finite value for them."""
     if not all(c.is_constant for c in node.children):
         return None
     try:
-        value = evaluate(node, ())
-    except DomainFault:
+        value = OPERATORS[node.op].scalar(*(c.value for c in node.children))
+    except (ArithmeticError, ValueError):
         return None
-    if not math.isfinite(value):
-        return None
-    return const(value)
+    return const(value) if math.isfinite(value) else None
 
 
 def _safe_fsum(values) -> float:

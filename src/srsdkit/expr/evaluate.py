@@ -1,15 +1,12 @@
 """IEEE-754 double evaluation of expression trees.
 
-Two evaluators with the same fault semantics, both reading the operator
-table in :mod:`.nodes`:
-
-* :func:`evaluate` - scalar, applies each operator's ``math`` function after
-  its domain check, and raises :class:`DomainFault` carrying the path of the
-  offending subexpression.
-* :func:`evaluate_many` - numpy row-batch evaluation with each operator's
-  ufunc; faulting rows are reported in a boolean mask instead of raising. A
-  row faults if any operator in the tree produces a non-finite value for
-  it, or if the root is a variable whose cell is non-finite.
+:func:`evaluate_many` is the one evaluator: it runs a tree over a batch of
+rows with each operator's numpy ufunc from the table in :mod:`.nodes`, and
+reports faulting rows in a boolean mask instead of raising. A row faults if
+any operator in the tree produces a non-finite value for it, or if the root
+is a variable whose cell is non-finite. The only other place an operator is
+applied is constant folding in :mod:`.canon`, which calls the operator's
+scalar ``math`` function.
 
 ``evaluate_many`` is one loop over a program, the flat preorder token tuple
 of :func:`.nodes.to_program`: it takes a program as the GP evolves it, or an
@@ -37,8 +34,6 @@ evaluation never returns NaN or infinity silently.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .nodes import OPERATORS, Expression, to_program
@@ -48,43 +43,6 @@ _HIDES_NONFINITE = frozenset(name for name, op in OPERATORS.items() if op.hides_
 
 class VariableIndexError(ValueError):
     """The tree reads a variable that the data matrix has no column for."""
-
-
-class DomainFault(ArithmeticError):
-    """Evaluation left the operator's domain at ``path`` (child-index route)."""
-
-    def __init__(self, message: str, path: tuple[int, ...]):
-        super().__init__(f"{message} at path {path}")
-        self.path = path
-
-
-def evaluate(expr: Expression, row) -> float:
-    """Evaluate at one point; ``row[i]`` supplies variable ``i``."""
-    return _eval(expr, row, ())
-
-
-def _eval(expr: Expression, row, path) -> float:
-    if expr.is_constant:
-        return expr.value
-    if expr.is_variable:
-        if expr.index >= len(row):
-            raise DomainFault(f"row too short for variable index {expr.index}", path)
-        return float(row[expr.index])
-
-    args = [_eval(c, row, path + (i,)) for i, c in enumerate(expr.children)]
-    spec = OPERATORS[expr.op]
-    if spec.fault is not None and spec.fault(*args):
-        raise DomainFault(spec.fault_message, path)
-    try:
-        out = spec.scalar(*args)
-    except OverflowError:
-        raise DomainFault("overflow", path) from None
-    except ValueError:
-        raise DomainFault("argument outside operator domain", path) from None
-
-    if not math.isfinite(out):
-        raise DomainFault("non-finite result", path)
-    return out
 
 
 def evaluate_many(expr, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,12 +5,13 @@ function operators are unary. ``div``, ``neg`` and ``sqrt`` may appear in raw
 (parsed or evolved) trees but are rewritten away by canonicalization.
 
 Every fact about an operator lives in one table, :data:`OPERATORS`: its
-arity, whether canonical trees may hold it, its scalar ``math`` function with
-the domain check that guards it, and its numpy ufunc. The node constructor,
-``compare``, both evaluators, the parser, the preorder decoder and the GP
-read it. The table's order is the canonical rank: commutative operands are
-sorted by it, so reordering the entries changes canonical forms, skeletons
-and every edit distance computed from them.
+arity, whether canonical trees may hold it, its numpy ufunc, which
+``evaluate_many`` applies, and the scalar ``math`` function that
+canonicalization folds constant operands with. The node constructor,
+``compare``, the evaluator, the canonicalizer, the parser, the preorder
+decoder and the GP read it. The table's order is the canonical rank:
+commutative operands are sorted by it, so reordering the entries changes
+canonical forms, skeletons and every edit distance computed from them.
 
 A tree also has a flat form, its program: the tuple of its tokens in
 preorder (:func:`to_program`, :func:`from_program`). The GP evolves programs,
@@ -32,8 +33,12 @@ import numpy as np
 class Operator:
     """One operator. ``arity`` is None for n-ary operators (at least two
     operands). ``canonical`` operators may appear in canonical trees and in
-    preorder token files. ``fault`` is true of arguments outside the domain
-    of ``scalar``, which then raises ``DomainFault(fault_message)``.
+    preorder token files. ``scalar`` is the ``math`` function that folds
+    constant operands. Where ``ufunc`` gives a non-finite result it raises
+    ``ArithmeticError`` or ``ValueError`` or returns a non-finite value
+    (``test_canon`` checks edge-case and random arguments); a finite result
+    may differ from the ufunc's in the last bit. The operators that
+    canonicalization rewrites away before it folds have no ``scalar``.
     ``hides_nonfinite`` marks the operators whose ufunc can turn a non-finite
     operand into a finite result (``exp(-inf) == 0``, ``1 / inf == 0``,
     ``tanh(inf) == 1``, ``pow(nan, 0) == 1``); every other ufunc returns a
@@ -42,10 +47,8 @@ class Operator:
     name: str
     arity: int | None
     canonical: bool
-    scalar: Callable[..., float]
     ufunc: np.ufunc
-    fault: Callable[..., bool] | None = None
-    fault_message: str = ""
+    scalar: Callable[..., float] | None = None
     hides_nonfinite: bool = False
 
 
@@ -53,22 +56,19 @@ class Operator:
 OPERATORS: dict[str, Operator] = {op.name: op for op in (
     # n-ary folds start from 0.0 and 1.0, not from the first operand, so that
     # 0.0 + (-0.0) stays 0.0: the sign of a folded zero shows in its repr.
-    Operator("add", None, True, lambda *args: functools.reduce(operator.add, args, 0.0), np.add),
-    Operator("mul", None, True, lambda *args: functools.reduce(operator.mul, args, 1.0), np.multiply),
-    Operator("pow", 2, True, math.pow, np.power,
-             lambda base, exponent: base == 0.0 and exponent < 0.0,
-             "zero raised to a negative power", hides_nonfinite=True),
-    Operator("sin", 1, True, math.sin, np.sin),
-    Operator("cos", 1, True, math.cos, np.cos),
-    Operator("tan", 1, True, math.tan, np.tan),
-    Operator("tanh", 1, True, math.tanh, np.tanh, hides_nonfinite=True),
-    Operator("exp", 1, True, math.exp, np.exp, hides_nonfinite=True),
-    Operator("log", 1, True, math.log, np.log, lambda a: a <= 0.0, "log of a non-positive value"),
-    Operator("abs", 1, True, abs, np.abs),
-    Operator("div", 2, False, operator.truediv, np.divide, lambda a, b: b == 0.0, "division by zero",
-             hides_nonfinite=True),
-    Operator("neg", 1, False, operator.neg, np.negative),
-    Operator("sqrt", 1, False, math.sqrt, np.sqrt, lambda a: a < 0.0, "sqrt of a negative value"),
+    Operator("add", None, True, np.add, lambda *args: functools.reduce(operator.add, args, 0.0)),
+    Operator("mul", None, True, np.multiply, lambda *args: functools.reduce(operator.mul, args, 1.0)),
+    Operator("pow", 2, True, np.power, math.pow, hides_nonfinite=True),
+    Operator("sin", 1, True, np.sin, math.sin),
+    Operator("cos", 1, True, np.cos, math.cos),
+    Operator("tan", 1, True, np.tan, math.tan),
+    Operator("tanh", 1, True, np.tanh, math.tanh, hides_nonfinite=True),
+    Operator("exp", 1, True, np.exp, math.exp, hides_nonfinite=True),
+    Operator("log", 1, True, np.log, math.log),
+    Operator("abs", 1, True, np.abs, abs),
+    Operator("div", 2, False, np.divide, hides_nonfinite=True),
+    Operator("neg", 1, False, np.negative),
+    Operator("sqrt", 1, False, np.sqrt),
 )}
 
 _OP_RANK = {name: i for i, name in enumerate(OPERATORS)}

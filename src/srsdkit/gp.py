@@ -29,6 +29,8 @@ scores at most about 5k.
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
 from dataclasses import dataclass, replace
 
@@ -40,6 +42,16 @@ from .expr import OPERATORS, Expression, from_program, operator_token
 
 DEFAULT_OPERATORS = ("add", "sub", "mul", "div", "sin", "cos", "exp", "log")
 SCORE_TABLE_LIMIT = 1 << 16
+_INTEGER_FIELDS = ("population_size", "generations", "tournament_size", "max_depth", "top_k", "seed")
+_REAL_FIELDS = ("p_crossover", "p_subtree_mutation", "p_point_mutation", "early_stop")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -58,12 +70,28 @@ class GPConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # Types first: a config read from JSON may hold a value of any type.
+        for name in _INTEGER_FIELDS:
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in _REAL_FIELDS:
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        if self.const_range is not None and not (
+            type(self.const_range) is tuple and len(self.const_range) == 2
+            and all(map(_is_real, self.const_range))
+        ):
+            raise ValueError(f"const_range must be null or two finite numbers, got {self.const_range!r}")
+        if type(self.operators) is not tuple or not all(type(op) is str for op in self.operators):
+            raise ValueError(f"operators must be a list of operator names, got {self.operators!r}")
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
         if self.tournament_size < 1:
             raise ValueError("tournament_size must be >= 1")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
+        if self.top_k < 1:
+            raise ValueError("top_k must be >= 1")
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
         total = self.p_crossover + self.p_subtree_mutation + self.p_point_mutation

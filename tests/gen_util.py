@@ -1,12 +1,13 @@
-"""Shared random generators and hypothesis strategies for the test suite."""
+"""Shared random generators, hypothesis strategies and checks for the test suite."""
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 from hypothesis import strategies as st
 
-from srsdkit.expr import Expression, const, op_node, var
+from srsdkit.expr import Expression, const, evaluate_many, op_node, var
 
 # A modest pool keeps properties meaningful without hypothesis zeroing in on
 # adjacent-float corner cases that the folding tolerance deliberately merges.
@@ -107,3 +108,15 @@ def random_skeleton(rng: random.Random, max_nodes=7) -> tuple[str, ...]:
 
     build(budget)
     return tuple(tokens)
+
+
+def agreeing_rows(raw: Expression, canonical: Expression, X: np.ndarray) -> int:
+    """Check that ``raw`` and its canonical form agree, to 1e-9 relative
+    (absolute below 1), on every row of ``X`` where neither faults in
+    ``evaluate_many``; return the number of such rows."""
+    before, bad_before = evaluate_many(raw, X)
+    after, bad_after = evaluate_many(canonical, X)
+    ok = ~(bad_before | bad_after)
+    before, after = before[ok], after[ok]
+    assert (abs(after - before) <= 1e-9 * np.maximum(1.0, abs(before))).all(), (raw, canonical)
+    return int(ok.sum())

@@ -1,19 +1,21 @@
 import hashlib
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from srsdkit.catalog import builtin_problems
 from srsdkit.expr import (
-    DomainFault,
+    OPERATORS,
     add,
     canonicalize,
     compare,
     const,
     div,
-    evaluate,
+    evaluate_many,
     expression_to_prefix,
     from_program,
     mul,
@@ -25,8 +27,15 @@ from srsdkit.expr import (
     to_program,
     var,
 )
+from srsdkit.expr.canon import _try_fold
 
-from gen_util import CONSTANT_POOL, expressions, random_expression, random_raw_expression
+from gen_util import (
+    CONSTANT_POOL,
+    agreeing_rows,
+    expressions,
+    random_expression,
+    random_raw_expression,
+)
 from oracle import recursive_compare, recursive_structurally_equal
 
 
@@ -82,6 +91,43 @@ def test_folding_never_stores_non_finite():
     # log(0) cannot fold; the node survives symbolically.
     e = canonicalize(op_node("log", const(0.0)))
     assert e.op == "log"
+
+
+# Zero to a negative power, a negative base to a fractional power, log of
+# zero and of negatives, exp and pow overflow, subnormals and the largest
+# doubles.
+FOLD_EDGE_ARGUMENTS = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -3.0, -8.0, 709.0, 710.0, -745.0,
+                       1e-300, 5e-324, 1e154, 1e308, -1e308]
+SUM_AND_PRODUCT_OVERFLOW = [(1e308, 1e308), (-1e308, -1e308), (1e308, 1e308, -1e308),
+                            (1e308, 10.0), (1e308, 10.0, 0.0), (1e154, 1e155, -1.0)]
+
+
+@pytest.mark.parametrize("name", [name for name, op in OPERATORS.items() if op.canonical])
+def test_a_constant_node_folds_exactly_where_evaluate_many_does_not_fault(name):
+    arity = OPERATORS[name].arity or 2
+    cases = list(itertools.product(FOLD_EDGE_ARGUMENTS, repeat=arity))
+    if OPERATORS[name].arity is None:
+        cases += SUM_AND_PRODUCT_OVERFLOW
+    rng = random.Random(1607)
+    cases += [tuple(rng.choice((-1.0, 1.0)) * math.exp(rng.uniform(-40.0, 40.0))
+                    for _ in range(arity)) for _ in range(2000)]
+    no_columns = np.empty((1, 0))
+    folded_cases = 0
+    for args in cases:
+        node = op_node(name, *map(const, args))
+        folded = _try_fold(node)
+        values, bad = evaluate_many(node, no_columns)
+        assert (folded is None) == bool(bad[0]), args
+        if folded is not None:
+            # The math function and the ufunc may differ in the last bit.
+            assert math.isclose(folded.value, values[0], rel_tol=1e-12), args
+            folded_cases += 1
+    assert folded_cases > 0
+
+
+def test_a_folded_zero_sum_is_positive_zero():
+    # The scalar add folds from 0.0, so -0.0 + -0.0 folds to 0.0; np.add gives -0.0.
+    assert repr(canonicalize(add(const(-0.0), const(-0.0)))) == "const(0.0)"
 
 
 def test_like_power_merge():
@@ -147,15 +193,8 @@ def test_semantic_preservation_bulk_seeded():
         e = random_expression(rng)
         c = canonicalize(e)
         trees += 1
-        for _ in range(100):
-            row = [rng.uniform(-3.0, 3.0) for _ in range(3)]
-            try:
-                before = evaluate(e, row)
-                after = evaluate(c, row)
-            except DomainFault:
-                continue
-            assert abs(after - before) <= 1e-9 * max(1.0, abs(before))
-            comparisons += 1
+        X = np.array([[rng.uniform(-3.0, 3.0) for _ in range(3)] for _ in range(100)])
+        comparisons += agreeing_rows(e, c, X)
     assert comparisons > 20000
 
 

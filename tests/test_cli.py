@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -499,6 +500,60 @@ def test_discover_rejects_bad_gp_config(tmp_path, easy_data, capsys):
     code, _, _ = run(capsys, "discover", "--data-dir", str(easy_data),
                      "--gp-config", str(cfg), "--out", str(tmp_path / "o"))
     assert code == 1
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"population_size": "abc"}, "population_size"),
+    ({"population_size": 4, "generations": 0, "top_k": True}, "top_k"),
+    ({"population_size": 4, "generations": 0, "top_k": 0}, "top_k"),
+    ({"operators": 5}, "operators"),
+    ({"operators": [["add"]]}, "operators"),
+    ({"const_range": [1]}, "const_range"),
+    ({"generations": 1.5, "population_size": 10}, "generations"),
+    ({"p_crossover": "0.5"}, "p_crossover"),
+])
+def test_discover_with_a_malformed_gp_config_is_usage_error(tmp_path, easy_data, capsys,
+                                                            config, key):
+    cfg = tmp_path / "gp.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run(capsys, "discover", "--data-dir", str(easy_data),
+                       "--gp-config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err.startswith("usage error: ") and key in err
+
+
+def test_discover_with_a_gp_config_that_is_not_an_object_is_data_error(tmp_path, easy_data,
+                                                                       capsys):
+    cfg = tmp_path / "gp.json"
+    cfg.write_text("5\n")
+    code, _, err = run(capsys, "discover", "--data-dir", str(easy_data),
+                       "--gp-config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err == f"error: {cfg}: not a JSON object\n"
+
+
+@pytest.mark.parametrize("manifest", ["[1, 2]", "{}", '{"problems": 5}', '{"problems": [1]}'])
+def test_eval_with_a_manifest_that_is_not_an_object_of_problems_is_data_error(
+        tmp_path, easy_data, capsys, manifest):
+    data = tmp_path / "data"
+    shutil.copytree(easy_data, data)
+    (data / "manifest.json").write_text(manifest)
+    code, _, err = run(capsys, "eval", "--pred-dir", str(data), "--data-dir", str(data))
+    assert code == 2
+    assert err.startswith(f"error: {data / 'manifest.json'}: not a JSON object")
+
+
+def test_eval_of_an_overflowing_prediction_warns_nothing(tmp_path, easy_data, capsys):
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    (preds / "I.12.1.txt").write_text("mul2 1e200 X1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "eval", "--pred-dir", str(preds),
+                             "--data-dir", str(easy_data))
+    assert code == 0 and err == ""
+    (row,) = json.loads(out)["problems"]
+    assert row["r_squared"] is None and not row["accuracy_hit"]
 
 
 def test_seed_env_fallback(tmp_path, easy_data, capsys, monkeypatch):

@@ -57,6 +57,12 @@ def test_r_squared_zero_variance_is_undefined():
         r_squared([1.0, 2.0], [5.0, 5.0])
 
 
+def test_r_squared_of_overflowing_squares_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert r_squared([1e200, 2e200, 3e200], [1.0, 2.0, 3.0]) == -math.inf
+
+
 def test_r_squared_shape_validation():
     with pytest.raises(ValueError):
         r_squared([1.0], [1.0, 2.0])

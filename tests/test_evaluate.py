@@ -6,11 +6,9 @@ import pytest
 
 from srsdkit.expr import (
     OPERATORS,
-    DomainFault,
     VariableIndexError,
     const,
     div,
-    evaluate,
     evaluate_many,
     from_program,
     mul,
@@ -26,24 +24,22 @@ from gen_util import random_expression, random_raw_expression
 from oracle import recursive_evaluate_many
 
 
+def _at(expr, *row):
+    """``evaluate_many`` of ``expr`` on the one row ``row``: (value, faulted)."""
+    values, bad = evaluate_many(expr, np.array([row], dtype=np.float64))
+    return values[0], bool(bad[0])
+
+
 def test_product_at_point():
-    assert evaluate(mul(var(0), var(1)), (0.5, 0.2)) == pytest.approx(0.1)
+    assert _at(mul(var(0), var(1)), 0.5, 0.2) == (pytest.approx(0.1), False)
 
 
 def test_log_of_zero_faults():
-    with pytest.raises(DomainFault):
-        evaluate(op_node("log", var(0)), (0.0,))
+    assert _at(op_node("log", var(0)), 0.0)[1]
 
 
 def test_negative_integer_power():
-    assert evaluate(pow_(var(0), const(-2.0)), (2.0,)) == 0.25
-
-
-def test_fault_carries_path_of_offending_subexpression():
-    expr = mul(var(0), div(const(1.0), var(1)))
-    with pytest.raises(DomainFault) as err:
-        evaluate(expr, (3.0, 0.0))
-    assert err.value.path == (1,)
+    assert _at(pow_(var(0), const(-2.0)), 2.0) == (0.25, False)
 
 
 @pytest.mark.parametrize(
@@ -58,13 +54,12 @@ def test_fault_carries_path_of_offending_subexpression():
     ],
 )
 def test_domain_faults(expr, row):
-    with pytest.raises(DomainFault):
-        evaluate(expr, row)
+    assert _at(expr, *row)[1]
 
 
 def test_row_too_short():
-    with pytest.raises(DomainFault):
-        evaluate(var(3), (1.0,))
+    with pytest.raises(VariableIndexError):
+        _at(var(3), 1.0)
 
 
 def test_evaluate_many_matches_scalar_on_clean_rows():
@@ -72,8 +67,8 @@ def test_evaluate_many_matches_scalar_on_clean_rows():
     X = np.array([[1.0, 0.5], [-2.0, 1.5], [0.25, -0.5]])
     values, bad = evaluate_many(e, X)
     assert not bad.any()
-    for i, row in enumerate(X):
-        assert values[i] == pytest.approx(evaluate(e, row), rel=1e-12)
+    for i, (x, y) in enumerate(X):
+        assert values[i] == pytest.approx(x * math.exp(-y**2) + math.sqrt(abs(x)), rel=1e-12)
 
 
 def test_evaluate_many_flags_faulting_rows():
@@ -88,25 +83,6 @@ def test_evaluate_many_flags_intermediate_overflow():
     e = parse("1 / exp(x)", ["x"])
     _, bad = evaluate_many(e, np.array([[1000.0], [1.0]]))
     assert bad.tolist() == [True, False]
-
-
-def test_evaluators_agree_on_random_expressions():
-    rng = random.Random(123)
-    checked = 0
-    for _ in range(150):
-        e = random_expression(rng, max_depth=4)
-        X = np.array([[rng.uniform(-3, 3) for _ in range(3)] for _ in range(8)])
-        values, bad = evaluate_many(e, X)
-        for i, row in enumerate(X):
-            try:
-                expected = evaluate(e, row)
-            except DomainFault:
-                assert bad[i]
-                continue
-            if not bad[i]:
-                assert values[i] == pytest.approx(expected, rel=1e-9, abs=1e-12)
-                checked += 1
-    assert checked > 200
 
 
 def test_evaluate_many_is_bit_identical_to_recursive_oracle():

@@ -47,7 +47,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GPConfig(tournament_size=0)
     with pytest.raises(ValueError):
+        GPConfig(top_k=0)
+    with pytest.raises(ValueError):
         GPConfig(operators=("frobnicate",))
+    # Values of the wrong type, as a JSON config may hold; a bool is not an int.
+    for bad in ({"population_size": True}, {"generations": 1.5}, {"operators": ["add"]},
+                {"const_range": (1.0,)}, {"const_range": (0.0, math.inf)}, {"early_stop": "0"}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            GPConfig(**bad)
 
 
 def test_zero_generations_returns_initial_individuals():
