@@ -13,7 +13,6 @@ from .expr import (
     evaluate_many,
     parse,
     skeletonize,
-    to_infix,
 )
 from .treedist import distance_result, edit_distance, normalized_edit_distance
 from .catalog import ProblemSpec, builtin_problems, load_builtin, load_file
@@ -58,6 +57,5 @@ __all__ = [
     "skeletonize",
     "split",
     "summarize",
-    "to_infix",
     "train_bigram",
 ]

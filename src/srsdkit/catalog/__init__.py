@@ -67,10 +67,19 @@ class VariableSpec:
 
 @dataclass(eq=False)
 class ProblemSpec:
+    """A problem: its variables and its expression. A catalog entry gives a
+    ``formula``, parsed once into ``expression``; a synthetic spec gives the
+    ``expression`` itself and no formula."""
+
     id: str
     set_name: str
-    formula: str
+    formula: str | None
     variables: list[VariableSpec] = field(default_factory=list)
+    expression: Expression | None = None
+
+    def __post_init__(self):
+        if self.expression is None:
+            self.expression = parse(self.formula, self.variable_names, self.constants)
 
     @property
     def sampled_variables(self) -> list[VariableSpec]:
@@ -87,10 +96,6 @@ class ProblemSpec:
     @property
     def column_names(self) -> list[str]:
         return self.variable_names + ["target"]
-
-    @cached_property
-    def expression(self) -> Expression:
-        return parse(self.formula, self.variable_names, self.constants)
 
     @cached_property
     def canonical_expression(self) -> Expression:
@@ -152,12 +157,10 @@ def problem_from_payload(obj, path="problem") -> ProblemSpec:
     flags = [v.dist.is_fixed for v in variables]
     if any(earlier and not later for earlier, later in zip(flags, flags[1:])):
         raise CatalogError(f"{path}.variables: sampled variables must precede constants")
-    spec = ProblemSpec(id=pid, set_name=set_name, formula=formula, variables=variables)
     try:
-        spec.expression
+        return ProblemSpec(id=pid, set_name=set_name, formula=formula, variables=variables)
     except ParseError as err:
         raise CatalogError(f"{path}.formula: {err}") from None
-    return spec
 
 
 def problem_to_payload(spec: ProblemSpec) -> dict:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -190,11 +191,14 @@ def _problem_dirs(root: Path) -> list[Path]:
 
 
 def _set_names_from_manifest(root: Path) -> dict[str, str]:
+    """Problem id → set name, from the ``problems`` list of a ``generate``
+    manifest; a manifest without that key (``synth`` writes ``equations``)
+    names no sets."""
     manifest = root / "manifest.json"
     if not manifest.is_file():
         return {}
     payload = json.loads(datagen.read_text(manifest))
-    problems = payload.get("problems") if isinstance(payload, dict) else None
+    problems = payload.get("problems", []) if isinstance(payload, dict) else None
     if not isinstance(problems, list) or not all(isinstance(e, dict) for e in problems):
         raise datagen.DataError(f"{manifest}: not a JSON object with a 'problems' list of objects")
     return {e["id"]: e["set"] for e in problems
@@ -278,6 +282,12 @@ def cmd_complexity(args) -> int:
 def cmd_synth(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
+    if args.copies_max < 1:
+        raise UsageError(f"--copies-max must be >= 1, got {args.copies_max}")
+    if args.k_lo > args.k_hi:
+        raise UsageError(f"--k-lo must be <= --k-hi, got {args.k_lo} > {args.k_hi}")
+    if not 0.0 <= args.alpha < math.inf:
+        raise UsageError(f"--alpha must be finite and >= 0, got {args.alpha}")
     _check_rows(args.rows, datagen.DEFAULT_RATIOS)
     seed = _master_seed(args.seed)
     specs = _load_specs(args.catalog, "all")
@@ -413,8 +423,9 @@ def _load_gp_config(path: str | None, seed: int) -> gp.GPConfig:
             raise datagen.DataError(f"{path}: not valid JSON: {err}") from None
         if not isinstance(payload, dict):
             raise datagen.DataError(f"{path}: not a JSON object")
-        known = set(gp.GPConfig.__dataclass_fields__)
-        unknown = set(payload) - known
+        if "seed" in payload:
+            raise UsageError(f"{path}: the GP seed is not a config key; pass --seed")
+        unknown = set(payload) - set(gp.GPConfig.__dataclass_fields__)
         if unknown:
             raise UsageError(f"unknown GP config keys: {sorted(unknown)}")
         for key in ("const_range", "operators"):
@@ -581,8 +592,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:
-        # The infix parser of catalog formulas still recurses once per
-        # nesting level; every tree walk on the scoring path is iterative.
+        # The infix parser, which reads only catalog formulas, still recurses
+        # once per nesting level; every tree walk is iterative.
         print("error: expression is nested too deeply to process", file=sys.stderr)
         return 2
 

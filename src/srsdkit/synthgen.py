@@ -9,7 +9,8 @@ resampled under a bounded retry budget.
 
 Each generated equation receives sampling ranges by drawing an integer k per
 variable independently and sampling that variable log-uniformly from
-[10^(k-1), 10^(k+1)].
+[10^(k-1), 10^(k+1)]. The resulting ``ProblemSpec`` carries the sampled
+tree, with each n-ary ``add``/``mul`` nested to the left; it has no formula.
 
 The leakage checker compares a synthetic corpus against benchmark problems.
 Skeletons match when their token tuples are equal (NED = 0), so the tuples
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial, reduce
 
 import numpy as np
 
@@ -40,8 +42,9 @@ from .expr import (
     canonicalize,
     const,
     decode_preorder,
+    from_program,
     op_node,
-    to_infix,
+    to_program,
     token_arity,
     var,
     variable_index,
@@ -140,6 +143,25 @@ def sample_equation(model: BigramModel, max_tokens: int, seed, max_retries: int 
     raise SynthError(f"no usable equation within {max_retries} retries")
 
 
+def _nested_left(expr: Expression) -> Expression:
+    """``expr`` with each n-ary ``add``/``mul`` nested to the left, as
+    ``a + b + c`` parses: ``add(add(a, b), c)``.
+
+    Canonicalization rewrites each node after its operands, so it sums (or
+    multiplies) the constants and merges the like terms of a nested chain
+    pair by pair from the left before it flattens the chain. The nesting
+    thus fixes the canonical constants' last bits, and through them the
+    bytes of every dataset and ``true_eq.txt`` that ``synth`` writes.
+    """
+
+    def node(name: str, *children: Expression) -> Expression:
+        if name in ("add", "mul"):
+            return reduce(partial(op_node, name), children)
+        return op_node(name, *children)
+
+    return from_program(to_program(expr), node)
+
+
 def assign_ranges(
     expr: Expression,
     seed,
@@ -158,13 +180,12 @@ def assign_ranges(
     if indices != list(range(len(indices))):
         raise SynthError(f"variable indices must be dense, got {indices}")
     rng = np.random.default_rng(seed)
-    names = [f"x{i + 1}" for i in indices]
     variables = []
-    for name in names:
+    for i in indices:
         k = int(rng.integers(k_lo, k_hi + 1))
         variables.append(
             VariableSpec(
-                name=name,
+                name=f"x{i + 1}",
                 dist=loguniform(10.0 ** (k - 1), 10.0 ** (k + 1)),
                 value_class="float",
                 sign="positive",
@@ -173,8 +194,9 @@ def assign_ranges(
     return ProblemSpec(
         id=problem_id,
         set_name="synth",
-        formula=to_infix(expr, names),
+        formula=None,
         variables=variables,
+        expression=_nested_left(expr),
     )
 
 

@@ -32,6 +32,10 @@ dynamic program they check, not even its token decoder.
   ``datagen.write`` must give the same bytes, and ``datagen.read`` the same
   bits or the same ``DataError`` text, on every file without underscores,
   non-ASCII text or line separators other than ``\\n``, ``\\r\\n`` and ``\\r``.
+* :func:`to_infix` writes a tree as an infix formula that ``parse`` reads
+  back, n-ary ``add``/``mul`` as left-nested chains. The parser round-trip
+  tests compare against it, and so does the check that a synthetic spec
+  carries the tree ``synth`` once got by writing and parsing that formula.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -324,3 +329,46 @@ def line_read_values(path) -> np.ndarray:
     if bad_rows.size:
         raise DataError(f"{path}: non-finite value in data row {bad_rows[0] + 1}")
     return values
+
+
+_ADD, _MUL, _POW, _ATOM = 1, 2, 3, 4
+
+
+def to_infix(expr: Expression, variable_names: Sequence[str] | None = None) -> str:
+    """Render as an infix formula that reparses to the same tree.
+
+    Variables print as ``variable_names[i]`` when given, else ``x{i+1}``.
+    """
+
+    def name(i: int) -> str:
+        if variable_names is not None:
+            return variable_names[i]
+        return f"x{i + 1}"
+
+    def render(node: Expression, context: int) -> str:
+        if node.is_constant:
+            text = repr(float(node.value))
+            return f"({text})" if node.value < 0 and context >= _POW else text
+        if node.is_variable:
+            return name(node.index)
+        op = node.op
+        if op == "add":
+            text = " + ".join(render(c, _ADD + 1) for c in node.children)
+            level = _ADD
+        elif op == "mul":
+            text = " * ".join(render(c, _MUL + 1) for c in node.children)
+            level = _MUL
+        elif op == "div":
+            text = f"{render(node.children[0], _MUL + 1)} / {render(node.children[1], _POW)}"
+            level = _MUL
+        elif op == "pow":
+            text = f"{render(node.children[0], _ATOM)}^{render(node.children[1], _POW)}"
+            level = _POW
+        elif op == "neg":
+            text = f"-{render(node.children[0], _POW)}"
+            level = _MUL
+        else:
+            return f"{op}({render(node.children[0], _ADD)})"
+        return f"({text})" if level < context else text
+
+    return render(expr, _ADD)

@@ -204,6 +204,22 @@ def test_schema_violation_reports_field_path():
     assert "bad[0].variables[0].dist" in str(err.value)
 
 
+def test_a_catalog_formula_is_parsed_once(monkeypatch):
+    import srsdkit.catalog as catalog
+
+    calls = []
+    parse = catalog.parse
+    monkeypatch.setattr(catalog, "parse", lambda *args: calls.append(args) or parse(*args))
+    (spec,) = loads(json.dumps([{"id": "x", "set": "easy", "formula": "a * g", "variables": [
+        {"name": "a", "dist": {"kind": "uniform", "lo": 1.0, "hi": 2.0},
+         "class": "float", "sign": "any"},
+        {"name": "g", "dist": {"kind": "fixed", "value": 9.807}, "class": "float",
+         "sign": "any"}]}]))
+    assert spec.skeleton == ("mul2", "C", "X1")
+    assert spec.expression is spec.expression
+    assert calls == [("a * g", ["a"], {"g": 9.807})]
+
+
 def test_formula_must_parse():
     bad = json.dumps([{"id": "x", "set": "easy", "formula": "a +", "variables": [
         {"name": "a", "dist": {"kind": "uniform", "lo": 0.0, "hi": 1.0},

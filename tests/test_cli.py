@@ -80,6 +80,21 @@ def test_rows_that_leave_a_split_empty_are_usage_errors(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--copies-max", "0"], "--copies-max"),
+    (["--k-lo", "3", "--k-hi", "1"], "--k-lo"),
+    (["--alpha", "-1"], "--alpha"),
+    (["--alpha", "nan"], "--alpha"),
+])
+def test_synth_with_impossible_sampling_flags_is_usage_error(tmp_path, capsys, flags, name):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "synth", "--n", "2", "--rows", "100", "--seed", "1", *flags,
+                       "--out", str(out))
+    assert code == 1
+    assert err.startswith("usage error: ") and name in err
+    assert not out.exists()
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, _ = run(capsys, "generate", "--frobnicate", "1", "--out", "/tmp/x")
     assert code == 1
@@ -522,6 +537,18 @@ def test_discover_with_a_malformed_gp_config_is_usage_error(tmp_path, easy_data,
     assert err.startswith("usage error: ") and key in err
 
 
+def test_discover_with_a_seed_in_the_gp_config_is_usage_error(tmp_path, easy_data, capsys):
+    # The seed has one home, --seed; a config key would silently override it.
+    cfg = tmp_path / "gp.json"
+    cfg.write_text(json.dumps({"population_size": 10, "generations": 2, "seed": 5}))
+    out = tmp_path / "o"
+    code, _, err = run(capsys, "discover", "--data-dir", str(easy_data), "--seed", "1",
+                       "--gp-config", str(cfg), "--out", str(out))
+    assert code == 1
+    assert err.startswith("usage error: ") and "--seed" in err
+    assert not out.exists()
+
+
 def test_discover_with_a_gp_config_that_is_not_an_object_is_data_error(tmp_path, easy_data,
                                                                        capsys):
     cfg = tmp_path / "gp.json"
@@ -532,7 +559,7 @@ def test_discover_with_a_gp_config_that_is_not_an_object_is_data_error(tmp_path,
     assert err == f"error: {cfg}: not a JSON object\n"
 
 
-@pytest.mark.parametrize("manifest", ["[1, 2]", "{}", '{"problems": 5}', '{"problems": [1]}'])
+@pytest.mark.parametrize("manifest", ["[1, 2]", '{"problems": 5}', '{"problems": [1]}'])
 def test_eval_with_a_manifest_that_is_not_an_object_of_problems_is_data_error(
         tmp_path, easy_data, capsys, manifest):
     data = tmp_path / "data"
@@ -541,6 +568,21 @@ def test_eval_with_a_manifest_that_is_not_an_object_of_problems_is_data_error(
     code, _, err = run(capsys, "eval", "--pred-dir", str(data), "--data-dir", str(data))
     assert code == 2
     assert err.startswith(f"error: {data / 'manifest.json'}: not a JSON object")
+
+
+def test_synth_discover_eval_loop_names_no_sets(tmp_path, capsys):
+    # synth's manifest lists `equations`, not `problems`.
+    corpus, preds, cfg = tmp_path / "corpus", tmp_path / "preds", tmp_path / "gp.json"
+    cfg.write_text('{"population_size": 20, "generations": 2}')
+    assert main(["synth", "--n", "4", "--seed", "2", "--rows", "100", "--out", str(corpus)]) == 0
+    assert main(["discover", "--data-dir", str(corpus), "--gp-config", str(cfg),
+                 "--seeds", "1", "--out", str(preds)]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, "eval", "--pred-dir", str(preds), "--data-dir", str(corpus))
+    assert code == 0 and err == ""
+    rows = json.loads(out)["problems"]
+    assert len(rows) == len(list(preds.glob("synth-*.txt"))) > 0
+    assert {row["set"] for row in rows} == {"unknown"}
 
 
 def test_eval_of_an_overflowing_prediction_warns_nothing(tmp_path, easy_data, capsys):

@@ -1,9 +1,11 @@
-"""The report bytes of ``eval``, ``complexity`` and ``leakcheck``, pinned by
-sha256 for fixed inputs, so a change to how report rows are built cannot
-move a byte of what the CLI prints."""
+"""The report bytes of ``eval``, ``complexity`` and ``leakcheck``, and every
+file ``synth`` writes, pinned by sha256 for fixed inputs, so a change to how
+report rows or synthetic specs are built cannot move a byte of what the CLI
+prints or writes."""
 
 import hashlib
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -75,3 +77,20 @@ def test_report_bytes_are_pinned(tmp_path, easy_data, capsys):
     digests["leakcheck-synth"] = _sha(_stdout(capsys, "leakcheck", "--corpus", str(corpus),
                                               "--catalog", str(easy_data)))
     assert digests == REPORT_DIGESTS
+
+
+SYNTH_DIGESTS = Path(__file__).with_name("synth_n30_seed1_rows100.sha256")
+
+
+def test_synth_bytes_are_pinned(tmp_path, capsys):
+    # Every file `synth --n 30 --seed 1 --rows 100` writes, in `sha256sum`
+    # format: `sha256sum -c` in the output directory checks it too.
+    out = tmp_path / "corpus"
+    assert main(["synth", "--n", "30", "--seed", "1", "--rows", "100", "--out", str(out)]) == 0
+    capsys.readouterr()
+    written = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out.rglob("*") if path.is_file()}
+    pinned = {name: digest for digest, name in
+              (line.split("  ", 1) for line in SYNTH_DIGESTS.read_text(encoding="utf-8").splitlines())}
+    assert sorted(written) == sorted(pinned)
+    assert [name for name in sorted(written) if written[name] != pinned[name]] == []

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracle import to_infix
+
 from srsdkit import treedist
 from srsdkit.catalog import builtin_problems, load_builtin
 from srsdkit.datagen import derive_seed, sample
-from srsdkit.expr import canonicalize, skeletonize
+from srsdkit.expr import canonicalize, parse, skeletonize
 from srsdkit.synthgen import (
     START,
     LeakageItem,
@@ -85,8 +87,22 @@ def test_assign_ranges_formula_instantiation(catalog_model):
         assert var.dist.lo == pytest.approx(10.0 ** (k - 1))
         assert var.dist.hi == pytest.approx(10.0 ** (k + 1))
         assert var.sign == "positive"
-    # formula round-trips through the parser
-    assert spec.canonical_expression is not None
+    # the spec carries the sampled tree, with no formula to parse
+    assert spec.formula is None
+    assert spec.expression.variables() == expr.variables()
+    assert skeletonize(spec.canonical_expression) == skeletonize(canonicalize(expr))
+
+
+def test_assign_ranges_canonicalizes_as_the_written_and_parsed_formula(catalog_model):
+    # The spec's tree is nested left as the infix chains `synth` once wrote
+    # and parsed back, so its canonical constants keep the same last bits.
+    for seed in range(5):
+        for i in range(100):
+            expr = sample_equation(catalog_model, 32, np.random.SeedSequence([seed, i]))
+            spec = assign_ranges(expr, np.random.SeedSequence([seed, i, 0]))
+            names = spec.variable_names
+            parsed = canonicalize(parse(to_infix(expr, names), names))
+            assert repr(spec.canonical_expression) == repr(parsed), (seed, i)
 
 
 def test_assign_ranges_k_zero_bounds():
