@@ -129,6 +129,8 @@ def _generate_one(args):
 
 
 def cmd_generate(args) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     if args.noise < 0:
         raise UsageError(f"--noise must be >= 0, got {args.noise}")
     ratios = _ratios(args.split)
@@ -282,6 +284,8 @@ def cmd_complexity(args) -> int:
 def cmd_synth(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
+    if args.max_tokens < 1:
+        raise UsageError(f"--max-tokens must be >= 1, got {args.max_tokens}")
     if args.copies_max < 1:
         raise UsageError(f"--copies-max must be >= 1, got {args.copies_max}")
     if args.k_lo > args.k_hi:
@@ -466,6 +470,8 @@ def _discover_one(args):
 def cmd_discover(args) -> int:
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     config = _load_gp_config(args.gp_config, _master_seed(args.seed))
     data_root = Path(args.data_dir)
     dirs = _problem_dirs(data_root)
@@ -590,11 +596,6 @@ def main(argv=None) -> int:
         return 1
     except _DATA_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # The infix parser, which reads only catalog formulas, still recurses
-        # once per nesting level; every tree walk is iterative.
-        print("error: expression is nested too deeply to process", file=sys.stderr)
         return 2
 
 

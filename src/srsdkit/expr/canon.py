@@ -19,7 +19,8 @@ program (``from_program``), with passes repeated until a fixed point:
   * ``pow(mul(a, b, ...), k) -> mul(pow(a, k), pow(b, k), ...)`` and
     ``pow(pow(x, e), k) -> pow(x, e*k)`` for integer constant ``k`` only
     (over the reals these preserve the value exactly when both sides are
-    defined only for integer outer exponents)
+    defined only for integer outer exponents); a cascade of these down a
+    nest of products and powers is walked with a stack, not by recursion
   * ``mul``: constants collected into one leading coefficient, zero
     annihilation (``x*0 -> 0``), unit coefficient dropped, and factors with
     structurally identical bases merged as ``x^a * x^b -> x^(a+b)``
@@ -114,23 +115,37 @@ def _flatten(op: str, children: tuple[Expression, ...]) -> list[Expression]:
     return out
 
 
-def _is_integer_const(e: Expression) -> bool:
-    return e.is_constant and float(e.value).is_integer()
-
-
 def _rewrite_pow(base: Expression, exponent: Expression) -> Expression:
-    if exponent.is_constant:
-        if same_constant(exponent.value, 1.0):
-            return base
-        if exponent.value == 0.0:
-            return const(1.0)
-    if _is_integer_const(exponent):
-        if base.is_operator and base.op == "mul":
-            return _rewrite("mul", *(_rewrite("pow", f, exponent) for f in base.children))
-        if base.is_operator and base.op == "pow":
-            inner_base, inner_exp = base.children
-            return _rewrite("pow", inner_base, _rewrite("mul", inner_exp, exponent))
-    return pow_(base, exponent)
+    # Each pending product holds the factors still to raise, their exponent
+    # and the factors raised so far. A power below the top is folded first,
+    # as ``_rewrite`` does.
+    pending: list[tuple[list[Expression], Expression, list[Expression]]] = []
+    while True:
+        if exponent.is_constant and same_constant(exponent.value, 1.0):
+            result = base
+        elif exponent.is_constant and exponent.value == 0.0:
+            result = const(1.0)
+        elif not (exponent.is_constant and float(exponent.value).is_integer()) \
+                or base.op not in ("mul", "pow"):
+            result = pow_(base, exponent)
+        else:
+            if base.op == "mul":
+                pending.append((list(base.children[:0:-1]), exponent, []))
+                base = base.children[0]
+            else:
+                base, exponent = base.children[0], _rewrite("mul", base.children[1], exponent)
+            result = _try_fold(pow_(base, exponent))
+        while result is not None:
+            if not pending:
+                return result
+            todo, power, raised = pending[-1]
+            raised.append(result)
+            if todo:
+                base, exponent = todo.pop(), power
+                result = _try_fold(pow_(base, exponent))
+            else:
+                pending.pop()
+                result = _rewrite("mul", *raised)
 
 
 def _rebuild(op: str, children: list[Expression], empty: float) -> Expression:
@@ -173,7 +188,7 @@ def _rewrite_add(terms: list[Expression]) -> Expression:
             else:
                 leftovers.append(const(coef))
             continue
-        for i, (seen, coefs) in enumerate(groups):
+        for seen, coefs in groups:
             if structurally_equal(core, seen):
                 coefs.append(coef)
                 break
@@ -203,66 +218,65 @@ def _attach_coefficient(coef: float, core: Expression) -> Expression:
 
 
 def _rewrite_mul(factors: list[Expression]) -> Expression:
-    factors = sorted(factors, key=functools.cmp_to_key(compare))
-    coefficient = 1.0
-    leftovers: list[Expression] = []  # constants whose product would overflow
-    groups: list[tuple[Expression, list[Expression]]] = []  # (base, exponents)
-    for f in factors:
-        if f.is_constant:
-            if math.isfinite(coefficient * f.value):
-                coefficient *= f.value
+    while True:
+        factors = sorted(factors, key=functools.cmp_to_key(compare))
+        coefficient = 1.0
+        leftovers: list[Expression] = []  # constants whose product would overflow
+        groups: list[tuple[Expression, list[Expression]]] = []  # (base, exponents)
+        for f in factors:
+            if f.is_constant:
+                if math.isfinite(coefficient * f.value):
+                    coefficient *= f.value
+                else:
+                    leftovers.append(f)
+                continue
+            if f.is_operator and f.op == "pow":
+                base, exponent = f.children
             else:
-                leftovers.append(f)
-            continue
-        if f.is_operator and f.op == "pow":
-            base, exponent = f.children
-        else:
-            base, exponent = f, const(1.0)
-        for i, (seen, exps) in enumerate(groups):
-            if structurally_equal(base, seen):
-                exps.append(exponent)
-                break
-        else:
-            groups.append((base, [exponent]))
-
-    if coefficient == 0.0:
-        return const(0.0)
-
-    out: list[Expression] = []
-    rerun = False
-    for base, exps in groups:
-        if len(exps) == 1:
-            exponent = exps[0]
-        elif all(e.is_constant for e in exps):
-            total = _safe_fsum(e.value for e in exps)
-            # An overflowing sum cannot be stored; leave the unfolded node.
-            exponent = const(total) if math.isfinite(total) else _rewrite("add", *exps)
-        else:
-            exponent = _rewrite("add", *exps)
-        rebuilt = _rewrite_pow(base, exponent)
-        if rebuilt.is_operator:
-            folded = _try_fold(rebuilt)
-            rebuilt = folded if folded is not None else rebuilt
-        if rebuilt.is_constant:
-            if math.isfinite(coefficient * rebuilt.value):
-                coefficient *= rebuilt.value
+                base, exponent = f, const(1.0)
+            for seen, exps in groups:
+                if structurally_equal(base, seen):
+                    exps.append(exponent)
+                    break
             else:
-                leftovers.append(rebuilt)
-        elif rebuilt.is_operator and rebuilt.op == "mul":
-            # Distributing an integer power over a product base resurfaced
-            # factors that may interact with other groups.
-            out.extend(rebuilt.children)
-            rerun = True
-        else:
-            out.append(rebuilt)
+                groups.append((base, [exponent]))
 
-    if coefficient == 0.0:
-        return const(0.0)
-    if rerun:
-        if not same_constant(coefficient, 1.0):
+        if coefficient == 0.0:
+            return const(0.0)
+
+        out: list[Expression] = []
+        rerun = False
+        for base, exps in groups:
+            if len(exps) == 1:
+                exponent = exps[0]
+            elif all(e.is_constant for e in exps):
+                total = _safe_fsum(e.value for e in exps)
+                # An overflowing sum cannot be stored; leave the unfolded node.
+                exponent = const(total) if math.isfinite(total) else _rewrite("add", *exps)
+            else:
+                exponent = _rewrite("add", *exps)
+            rebuilt = _rewrite_pow(base, exponent)
+            if rebuilt.is_operator:
+                folded = _try_fold(rebuilt)
+                rebuilt = folded if folded is not None else rebuilt
+            if rebuilt.is_constant:
+                if math.isfinite(coefficient * rebuilt.value):
+                    coefficient *= rebuilt.value
+                else:
+                    leftovers.append(rebuilt)
+            elif rebuilt.is_operator and rebuilt.op == "mul":
+                # Distributing an integer power over a product base resurfaced
+                # factors that may interact with other groups.
+                out.extend(rebuilt.children)
+                rerun = True
+            else:
+                out.append(rebuilt)
+
+        if coefficient == 0.0:
+            return const(0.0)
+        out.extend(leftovers)
+        if not same_constant(coefficient, 1.0) or not out:
             out.append(const(coefficient))
-        return _rewrite_mul(out + leftovers)
-    out.extend(leftovers)
-    if not same_constant(coefficient, 1.0) or not out:
-        out.append(const(coefficient))
-    return _rebuild("mul", out, 1.0)
+        if not rerun:
+            return _rebuild("mul", out, 1.0)
+        factors = out

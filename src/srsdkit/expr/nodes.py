@@ -145,6 +145,10 @@ class Expression:
     def __hash__(self):
         return hash(tuple(_keys(self)))
 
+    def __reduce__(self):
+        # Pickle as the flat program: the default would recurse once per level.
+        return from_program, (to_program(self),)
+
     def __repr__(self):
         # One fold over the reversed preorder, as in from_program: each
         # operator takes its operands' text from the top of the stack.
@@ -185,11 +189,6 @@ def preorder(tree: Expression):
 
 def operator_token(name: str, arity: int) -> tuple:
     return (name, arity, OPERATORS[name].ufunc)
-
-
-def operand_count(token) -> int:
-    """Operands a program token takes (0 for leaves)."""
-    return 0 if type(token) is float or len(token) == 1 else token[1]
 
 
 def to_program(expr: Expression) -> tuple:

@@ -8,6 +8,10 @@ mapping; they are folded into constant nodes at parse time.
 
 ``^`` binds tightest and is right-associative; unary minus binds looser than
 ``^`` (so ``-x^2`` is ``-(x^2)``) but tighter than ``*``.
+
+One precedence loop reads the tokens onto an operand stack and a stack of
+pending operators and open groups, so nesting depth is bounded by memory
+rather than by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -50,94 +54,12 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, text_len, variable_names, constants):
-        self.tokens = tokens
-        self.pos = 0
-        self.text_len = text_len
-        self.var_index = {name: i for i, name in enumerate(variable_names)}
-        self.constants = dict(constants or {})
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.text_len)
-        self.pos += 1
-        return tok
-
-    def expect(self, punct):
-        tok = self.next()
-        if tok[0] != "punct" or tok[1] != punct:
-            raise ParseError(f"expected {punct!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    # additive <- multiplicative ((+|-) multiplicative)*
-    def additive(self) -> Expression:
-        node = self.multiplicative()
-        while (tok := self.peek()) is not None and tok[1] in ("+", "-"):
-            self.pos += 1
-            rhs = self.multiplicative()
-            if tok[1] == "+":
-                node = op_node("add", node, rhs)
-            else:
-                node = op_node("add", node, op_node("neg", rhs))
-        return node
-
-    # multiplicative <- unary ((*|/) unary)*
-    def multiplicative(self) -> Expression:
-        node = self.unary()
-        while (tok := self.peek()) is not None and tok[1] in ("*", "/"):
-            self.pos += 1
-            rhs = self.unary()
-            node = op_node("mul" if tok[1] == "*" else "div", node, rhs)
-        return node
-
-    # unary <- '-' unary | power
-    def unary(self) -> Expression:
-        tok = self.peek()
-        if tok is not None and tok[1] == "-":
-            self.pos += 1
-            return op_node("neg", self.unary())
-        return self.power()
-
-    # power <- atom ('^' unary)?   (right-associative; -x allowed in exponent)
-    def power(self) -> Expression:
-        base = self.atom()
-        tok = self.peek()
-        if tok is not None and tok[1] == "^":
-            self.pos += 1
-            return op_node("pow", base, self.unary())
-        return base
-
-    def atom(self) -> Expression:
-        kind, text, start = self.next()
-        if kind == "number":
-            return const(float(text))
-        if kind == "name":
-            spec = OPERATORS.get(text)
-            if spec is not None and spec.arity == 1 and text != "neg":
-                self.expect("(")
-                arg = self.additive()
-                tok = self.peek()
-                if tok is not None and tok[1] == ",":
-                    raise ParseError(f"{text} takes exactly one argument", tok[2])
-                self.expect(")")
-                return op_node(text, arg)
-            if text == "pi":
-                return const(math.pi)
-            if text in self.var_index:
-                return var(self.var_index[text])
-            if text in self.constants:
-                return const(float(self.constants[text]))
-            raise ParseError(f"unknown identifier {text!r}", start)
-        if text == "(":
-            node = self.additive()
-            self.expect(")")
-            return node
-        raise ParseError(f"unexpected token {text!r}", start)
+# Each operator a parse holds pending, with its binding power, and the node
+# it builds; "^" groups to the right. "(" and the function names, which open
+# groups, wait on the same stack and bind at 0.
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+_NODE = {"+": "add", "-": "add", "*": "mul", "/": "div", "^": "pow"}
+_FUNCTIONS = {name for name, spec in OPERATORS.items() if spec.arity == 1 and name != "neg"}
 
 
 def parse(
@@ -150,9 +72,73 @@ def parse(
     Variable names map to column indices by their position in
     ``variable_names``; names in ``constants`` fold to constant nodes.
     """
-    parser = _Parser(_tokenize(text), len(text), variable_names, constants)
-    node = parser.additive()
-    tok = parser.peek()
-    if tok is not None:
-        raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-    return node
+    var_index = {name: i for i, name in enumerate(variable_names)}
+    constants = dict(constants or {})
+    tokens = _tokenize(text) + [("end", None, len(text))]
+    operands: list[Expression] = []
+    pending: list[str] = []
+
+    def reduce(binding: int) -> None:
+        """Apply the pending operators that bind at least ``binding``."""
+        while pending and _BINDING.get(pending[-1], 0) >= binding:
+            op = pending.pop()
+            rhs = operands.pop()
+            if op in ("neg", "-"):
+                rhs = op_node("neg", rhs)
+            operands.append(rhs if op == "neg" else op_node(_NODE[op], operands.pop(), rhs))
+
+    pos = 0
+    while True:
+        # An operand: minus signs and opened groups, then a number or a name.
+        kind, word, start = tokens[pos]
+        pos += 1
+        while word in ("-", "(") or word in _FUNCTIONS:
+            if word in _FUNCTIONS:
+                _expect("(", tokens[pos])
+                pos += 1
+            pending.append("neg" if word == "-" else word)
+            kind, word, start = tokens[pos]
+            pos += 1
+        if kind == "number":
+            operands.append(const(float(word)))
+        elif kind == "name" and word == "pi":
+            operands.append(const(math.pi))
+        elif kind == "name" and word in var_index:
+            operands.append(var(var_index[word]))
+        elif kind == "name" and word in constants:
+            operands.append(const(float(constants[word])))
+        elif kind == "name":
+            raise ParseError(f"unknown identifier {word!r}", start)
+        elif kind == "end":
+            raise ParseError("unexpected end of input", start)
+        else:
+            raise ParseError(f"unexpected token {word!r}", start)
+
+        # Closing groups, then the binary operator before the next operand.
+        kind, word, start = tokens[pos]
+        while kind != "punct" or word not in _NODE:
+            reduce(1)
+            if not pending:
+                if kind != "end":
+                    raise ParseError(f"unexpected trailing input {word!r}", start)
+                (tree,) = operands
+                return tree
+            group = pending.pop()
+            if word == "," and group != "(":
+                raise ParseError(f"{group} takes exactly one argument", start)
+            _expect(")", tokens[pos])
+            if group != "(":
+                operands.append(op_node(group, operands.pop()))
+            pos += 1
+            kind, word, start = tokens[pos]
+        reduce(_BINDING[word] + (word == "^"))  # a pending "^" waits for this one
+        pending.append(word)
+        pos += 1
+
+
+def _expect(punct: str, token: tuple) -> None:
+    kind, word, start = token
+    if kind == "end":
+        raise ParseError("unexpected end of input", start)
+    if word != punct:
+        raise ParseError(f"expected {punct!r}, found {word!r}", start)

@@ -158,10 +158,9 @@ class _TreeFactory:
         return tuple(out) if _depth(out) <= self.config.max_depth else (self.terminal(),)
 
 
-# The three walks below read a token's operand count inline, as
-# ``expr.operand_count`` does: a float or a 1-tuple takes none, an operator
-# ``token[1]``. They run once per child, and a call per token cost more
-# than the rest of the walk.
+# The three walks below read a program token's operand count inline: a
+# float or a 1-tuple takes none, an operator ``token[1]``. They run once per
+# child, and a call per token cost more than the rest of the walk.
 
 def _subtree_end(program, start: int) -> int:
     """End of the slice holding the subtree that starts at ``start``."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -56,6 +57,26 @@ def random_expression(rng: random.Random, max_depth=4, n_vars=3) -> Expression:
     if pick < 0.7:
         return op_node("pow", sub(), const(rng.choice([-2.0, -1.0, 0.5, 1.0, 2.0, 3.0])))
     return op_node(rng.choice(UNARY), sub())
+
+
+def random_power_nest(rng: random.Random, max_depth=8, n_vars=3) -> Expression:
+    """Seeded nest of products, quotients, square roots and powers with
+    integer or half-integer exponents: the trees down which an integer
+    exponent cascades when canonicalized."""
+    if max_depth <= 1 or rng.random() < 0.15:
+        if rng.random() < 0.3:
+            return const(rng.choice([-1.0, 0.5, 2.0, 3.0, math.e, 1e200]))
+        return var(rng.randrange(n_vars))
+    sub = lambda: random_power_nest(rng, max_depth - 1, n_vars)
+    pick = rng.random()
+    if pick < 0.3:
+        return op_node("mul", *(sub() for _ in range(rng.choice([2, 2, 3]))))
+    if pick < 0.45:
+        return op_node("div", sub(), sub())
+    if pick < 0.6:
+        return op_node(rng.choice(["sqrt", "sqrt", "neg", "sin"]), sub())
+    exponent = rng.choice([-3.0, -2.0, -1.0, -0.5, 0.5, 1.5, 2.0, 3.0, 4.0, 2.0 ** 40])
+    return op_node("pow", sub(), const(exponent))
 
 
 # Every operator with its arity (None: n-ary), listed here rather than read

@@ -36,6 +36,13 @@ dynamic program they check, not even its token decoder.
   back, n-ary ``add``/``mul`` as left-nested chains. The parser round-trip
   tests compare against it, and so does the check that a synthetic spec
   carries the tree ``synth`` once got by writing and parsing that formula.
+* :func:`recursive_parse` is the recursive-descent infix parser, one method
+  per precedence level. ``parse``, which holds pending operators on a stack,
+  must give the same tree, or the same ``ParseError`` text and position.
+* :func:`recursive_rewrite_pow` is canonicalization's power rule with its
+  integer-exponent cascade written as recursion. Canonicalizing with it in
+  place of ``canon._rewrite_pow``, which walks the cascade with a stack,
+  must give the same canonical form.
 """
 
 from __future__ import annotations
@@ -43,13 +50,15 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from srsdkit.datagen import DataError
 from srsdkit.evalkit import TINY_TARGET
-from srsdkit.expr import Expression, evaluate_many
+from srsdkit.expr import OPERATORS, Expression, ParseError, const, evaluate_many, op_node, pow_, var
+from srsdkit.expr import canon
+from srsdkit.expr.parse import _tokenize
 
 # Skeleton token arities, written out here rather than read from the code
 # under test; ``add<k>`` and ``mul<k>`` take k operands.
@@ -372,3 +381,118 @@ def to_infix(expr: Expression, variable_names: Sequence[str] | None = None) -> s
         return f"({text})" if level < context else text
 
     return render(expr, _ADD)
+
+
+class _Parser:
+    def __init__(self, tokens, text_len, variable_names, constants):
+        self.tokens = tokens
+        self.pos = 0
+        self.text_len = text_len
+        self.var_index = {name: i for i, name in enumerate(variable_names)}
+        self.constants = dict(constants or {})
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", self.text_len)
+        self.pos += 1
+        return tok
+
+    def expect(self, punct):
+        tok = self.next()
+        if tok[0] != "punct" or tok[1] != punct:
+            raise ParseError(f"expected {punct!r}, found {tok[1]!r}", tok[2])
+        return tok
+
+    # additive <- multiplicative ((+|-) multiplicative)*
+    def additive(self) -> Expression:
+        node = self.multiplicative()
+        while (tok := self.peek()) is not None and tok[1] in ("+", "-"):
+            self.pos += 1
+            rhs = self.multiplicative()
+            if tok[1] == "+":
+                node = op_node("add", node, rhs)
+            else:
+                node = op_node("add", node, op_node("neg", rhs))
+        return node
+
+    # multiplicative <- unary ((*|/) unary)*
+    def multiplicative(self) -> Expression:
+        node = self.unary()
+        while (tok := self.peek()) is not None and tok[1] in ("*", "/"):
+            self.pos += 1
+            rhs = self.unary()
+            node = op_node("mul" if tok[1] == "*" else "div", node, rhs)
+        return node
+
+    # unary <- '-' unary | power
+    def unary(self) -> Expression:
+        tok = self.peek()
+        if tok is not None and tok[1] == "-":
+            self.pos += 1
+            return op_node("neg", self.unary())
+        return self.power()
+
+    # power <- atom ('^' unary)?   (right-associative; -x allowed in exponent)
+    def power(self) -> Expression:
+        base = self.atom()
+        tok = self.peek()
+        if tok is not None and tok[1] == "^":
+            self.pos += 1
+            return op_node("pow", base, self.unary())
+        return base
+
+    def atom(self) -> Expression:
+        kind, text, start = self.next()
+        if kind == "number":
+            return const(float(text))
+        if kind == "name":
+            spec = OPERATORS.get(text)
+            if spec is not None and spec.arity == 1 and text != "neg":
+                self.expect("(")
+                arg = self.additive()
+                tok = self.peek()
+                if tok is not None and tok[1] == ",":
+                    raise ParseError(f"{text} takes exactly one argument", tok[2])
+                self.expect(")")
+                return op_node(text, arg)
+            if text == "pi":
+                return const(math.pi)
+            if text in self.var_index:
+                return var(self.var_index[text])
+            if text in self.constants:
+                return const(float(self.constants[text]))
+            raise ParseError(f"unknown identifier {text!r}", start)
+        if text == "(":
+            node = self.additive()
+            self.expect(")")
+            return node
+        raise ParseError(f"unexpected token {text!r}", start)
+
+
+def recursive_parse(text: str, variable_names: Sequence[str],
+                    constants: Mapping[str, float] | None = None) -> Expression:
+    parser = _Parser(_tokenize(text), len(text), variable_names, constants)
+    node = parser.additive()
+    tok = parser.peek()
+    if tok is not None:
+        raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+    return node
+
+
+def recursive_rewrite_pow(base: Expression, exponent: Expression) -> Expression:
+    if exponent.is_constant:
+        if canon.same_constant(exponent.value, 1.0):
+            return base
+        if exponent.value == 0.0:
+            return const(1.0)
+    if exponent.is_constant and float(exponent.value).is_integer():
+        if base.is_operator and base.op == "mul":
+            return canon._rewrite("mul", *(canon._rewrite("pow", f, exponent) for f in base.children))
+        if base.is_operator and base.op == "pow":
+            inner_base, inner_exp = base.children
+            return canon._rewrite("pow", inner_base, canon._rewrite("mul", inner_exp, exponent))
+    return pow_(base, exponent)

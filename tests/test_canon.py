@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -23,10 +24,12 @@ from srsdkit.expr import (
     op_node,
     parse,
     pow_,
+    skeletonize,
     structurally_equal,
     to_program,
     var,
 )
+from srsdkit.expr import canon
 from srsdkit.expr.canon import _try_fold
 
 from gen_util import (
@@ -34,9 +37,10 @@ from gen_util import (
     agreeing_rows,
     expressions,
     random_expression,
+    random_power_nest,
     random_raw_expression,
 )
-from oracle import recursive_compare, recursive_structurally_equal
+from oracle import recursive_compare, recursive_rewrite_pow, recursive_structurally_equal
 
 
 def canon_text(text, names, consts=None):
@@ -268,3 +272,44 @@ def test_order_and_equality_match_the_recursive_reference():
             assert hash(a) == hash(b)
     # Equal, tolerantly equal but ordered, and different pairs all occur.
     assert verdicts == {(0, True), (-1, True), (1, True), (-1, False), (1, False)}
+
+
+def _power_chain(levels: int):
+    """``levels`` nested ``(e * x2)^0.5``, raised to ``2^levels``."""
+    e = var(1)
+    for _ in range(levels):
+        e = pow_(mul(const(math.e), e), const(0.5))
+    return pow_(e, const(2.0 ** levels))
+
+
+def test_power_cascade_matches_the_recursive_reference(monkeypatch):
+    trees = [spec.expression for spec in builtin_problems()]
+    rng = random.Random(1803)
+    trees += [random_expression(rng, max_depth=6) for _ in range(1000)]
+    trees += [random_raw_expression(rng, max_depth=6) for _ in range(1000)]
+    trees += [random_power_nest(rng) for _ in range(2000)]
+    trees += [_power_chain(levels) for levels in (1, 2, 5, 30, 100)]
+    iterative = [repr(canonicalize(e)) for e in trees]
+    cascades = []
+
+    def reference(base, exponent):
+        if base.is_operator and base.op in ("mul", "pow") and exponent.is_constant \
+                and exponent.value.is_integer() and exponent.value not in (0.0, 1.0):
+            cascades.append(base.op)
+        return recursive_rewrite_pow(base, exponent)
+
+    monkeypatch.setattr(canon, "_rewrite_pow", reference)
+    assert [repr(canonicalize(e)) for e in trees] == iterative
+    assert cascades.count("mul") > 1000 and cascades.count("pow") > 1000
+
+
+def test_a_thousand_level_power_cascade_canonicalizes():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        c = canonicalize(_power_chain(1000))
+        assert canonicalize(c) == c
+    finally:
+        sys.setrecursionlimit(limit)
+    # e raised to about 2^1000, constants whose product would overflow, and x2.
+    assert skeletonize(c) == ("mul4", "pow", "C", "C", "C", "C", "X2")

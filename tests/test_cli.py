@@ -85,6 +85,7 @@ def test_rows_that_leave_a_split_empty_are_usage_errors(tmp_path, capsys, comman
     (["--k-lo", "3", "--k-hi", "1"], "--k-lo"),
     (["--alpha", "-1"], "--alpha"),
     (["--alpha", "nan"], "--alpha"),
+    (["--max-tokens", "0"], "--max-tokens"),
 ])
 def test_synth_with_impossible_sampling_flags_is_usage_error(tmp_path, capsys, flags, name):
     out = tmp_path / "out"
@@ -92,6 +93,17 @@ def test_synth_with_impossible_sampling_flags_is_usage_error(tmp_path, capsys, f
                        "--out", str(out))
     assert code == 1
     assert err.startswith("usage error: ") and name in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-5"])
+@pytest.mark.parametrize("command", ["generate", "discover"])
+def test_workers_below_one_are_usage_errors(tmp_path, easy_data, capsys, command, workers):
+    out = tmp_path / "out"
+    source = ["--set", "easy"] if command == "generate" else ["--data-dir", str(easy_data)]
+    code, _, err = run(capsys, command, *source, "--workers", workers, "--out", str(out))
+    assert code == 1
+    assert err == f"usage error: --workers must be >= 1, got {workers}\n"
     assert not out.exists()
 
 
@@ -272,18 +284,48 @@ def test_deeply_nested_prediction_is_scored(tmp_path, easy_data, capsys):
     assert row["normalized_edit_distance"] == 1.0
 
 
-def test_formula_nested_too_deeply_to_parse_is_data_error(tmp_path, capsys):
+def test_power_cascade_prediction_is_scored(tmp_path, easy_data, capsys):
+    # Raising a 1,000-level nest of (e*X2)^0.5 to 2^1000 distributes the
+    # exponent down every level when the prediction is canonicalized.
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    (preds / "I.12.1.txt").write_text(
+        "pow " + "pow mul2 2.718281828459045 " * 1000 + "X2" + " 0.5" * 1000
+        + f" {2.0 ** 1000!r}\n")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        code, out, _ = run(capsys, "eval", "--pred-dir", str(preds),
+                           "--data-dir", str(easy_data))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    assert [row["id"] for row in json.loads(out)["problems"]] == ["I.12.1"]
+
+
+def test_deeply_nested_formula_generates_the_same_bytes_with_two_workers(tmp_path, capsys):
     from srsdkit.catalog import builtin_problems, dumps
 
     text = dumps(builtin_problems("easy")[:1])
     formula = json.loads(text)[0]["formula"]
     catalog_path = tmp_path / "deep.json"
     catalog_path.write_text(text.replace(json.dumps(formula),
-                                         json.dumps("(" * 2000 + formula + ")" * 2000)))
-    code, _, err = run(capsys, "generate", "--catalog", str(catalog_path), "--set", "easy",
-                       "--rows", "10", "--out", str(tmp_path / "out"))
-    assert code == 2
-    assert err == "error: expression is nested too deeply to process\n"
+                                         json.dumps("sin(" * 10_000 + formula + ")" * 10_000)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        for workers in ("1", "2"):
+            code, _, _ = run(capsys, "generate", "--catalog", str(catalog_path), "--set", "easy",
+                             "--rows", "10", "--seed", "4", "--workers", workers,
+                             "--out", str(tmp_path / workers))
+            assert code == 0
+    finally:
+        sys.setrecursionlimit(limit)
+    files = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*.txt"))
+    assert len(files) == 4
+    for path in files:
+        assert filecmp.cmp(tmp_path / "1" / path, tmp_path / "2" / path, shallow=False), path
+    assert (tmp_path / "1" / files[0].parent / "true_eq.txt").read_text().startswith("sin " * 10_000)
 
 
 def test_malformed_constants_are_data_errors(tmp_path, easy_data, capsys):

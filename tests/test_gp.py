@@ -12,7 +12,6 @@ from srsdkit.expr import (
     canonicalize,
     expression_to_prefix,
     from_program,
-    operand_count,
     skeletonize,
     to_program,
 )
@@ -239,7 +238,7 @@ def test_every_offspring_decodes_within_the_depth_bound(max_depth):
     rng = random.Random(max_depth)
     factory = gp._TreeFactory(cfg, 3, rng)
     population = [factory.ramped() for _ in range(60)]
-    arities = lambda program: [operand_count(t) for t in program]
+    arities = lambda program: [0 if type(t) is float or len(t) == 1 else t[1] for t in program]
     for _ in range(600):
         a, b = rng.choice(population), rng.choice(population)
         children = [

@@ -1,9 +1,13 @@
 import math
+import random
+import sys
 
 import pytest
 
-from oracle import to_infix
-from srsdkit.expr import ParseError, const, mul, op_node, parse, var
+from gen_util import random_raw_expression
+from oracle import recursive_parse, to_infix
+from srsdkit.catalog import builtin_problems
+from srsdkit.expr import ExpressionError, ParseError, const, mul, op_node, parse, to_program, var
 
 
 def test_product_of_two_variables():
@@ -131,3 +135,76 @@ def test_infix_renders_negative_power_bases_safely():
     e2 = pow_(const(-2.0), const(3.0))
     assert canonicalize(parse(to_infix(e2), [])) == canonicalize(e2)
     assert to_infix(e2).startswith("(")
+
+
+def _outcome(read, text, names, constants):
+    """The tree ``read`` gives, or the error it raises."""
+    try:
+        return repr(read(text, names, constants))
+    except ParseError as err:
+        return ("ParseError", str(err), err.position)
+    except ExpressionError as err:  # a literal that overflows to inf
+        return ("ExpressionError", str(err))
+
+
+# Every kind of token, including names that are not variables, operators the
+# parser does not read as functions, and a character it rejects.
+WORDS = ["x", "y", "k", "g", "big", "pi", "sin", "sqrt", "exp", "abs", "neg", "div", "zz",
+         "2", "0.5", "1e3", ".5", "1e999", "3.", "+", "-", "-", "*", "/", "^", "(", "(", ")",
+         ")", ",", "?"]
+
+
+def _formula(rng, depth):
+    """A random formula that mixes every precedence level."""
+    if depth <= 0 or rng.random() < 0.3:
+        return rng.choice(["x", "y", "k", "g", "pi", "2", "0.5", "3e-2"])
+    pick = rng.random()
+    if pick < 0.45:
+        op = rng.choice(["+", "-", "*", "/", "^", " ^ ", " - "])
+        return _formula(rng, depth - 1) + op + _formula(rng, depth - 1)
+    if pick < 0.6:
+        return "-" + _formula(rng, depth - 1)
+    if pick < 0.8:
+        return "(" + _formula(rng, depth - 1) + ")"
+    return rng.choice(["sin", "sqrt", "exp", "abs"]) + "(" + _formula(rng, depth - 1) + ")"
+
+
+def test_parse_matches_the_recursive_reference():
+    names, constants = ["x", "y", "k"], {"g": 9.81, "big": 1e999}
+    rng = random.Random(1804)
+    texts = ["".join(rng.choice(WORDS) + rng.choice(["", "", " "])
+                     for _ in range(rng.randint(1, 12))) for _ in range(10_000)]
+    for _ in range(10_000):
+        text = _formula(rng, rng.randint(1, 7))
+        if rng.random() < 0.3:  # one character inserted or replaced
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice("()-,^*x ") + text[i + rng.randint(0, 1):]
+        texts.append(text)
+    outcomes = set()
+    for text in texts:
+        got = _outcome(parse, text, names, constants)
+        assert got == _outcome(recursive_parse, text, names, constants), text
+        outcomes.add(got[0] if type(got) is tuple else "tree")
+    assert outcomes == {"tree", "ParseError", "ExpressionError"}
+    for spec in builtin_problems():
+        args = spec.formula, spec.variable_names, spec.constants
+        assert repr(parse(*args)) == repr(recursive_parse(*args)) == repr(spec.expression)
+    for _ in range(2000):
+        e = random_raw_expression(rng, max_depth=6)
+        assert repr(parse(to_infix(e), ["x1", "x2", "x3"])) \
+            == repr(recursive_parse(to_infix(e), ["x1", "x2", "x3"]))
+
+
+def test_deep_nesting_parses_at_the_default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        assert parse("(" * 100_000 + "x" + ")" * 100_000, ["x"]) == var(0)
+        chain = parse("-" * 50_000 + "x^2", ["x"])
+        assert to_program(chain)[:50_000] == to_program(op_node("neg", var(0)))[:1] * 50_000
+        deep = parse("sin(" * 10_000 + "x" + ")" * 10_000, ["x"])
+        assert len(to_program(deep)) == 10_001
+        with pytest.raises(ParseError, match="unexpected end of input"):
+            parse("(" * 100_000 + "x", ["x"])
+    finally:
+        sys.setrecursionlimit(limit)

@@ -1,3 +1,4 @@
+import pickle
 import random
 import sys
 
@@ -190,3 +191,22 @@ def test_tree_walks_handle_a_deep_chain(tmp_path):
         assert repr(e) == "sin(" * depth + "mul(const(2.5), var(1))" + ")" * depth
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_a_tree_pickles_as_its_program():
+    # A process pool pickles specs and their trees, so this must not recurse.
+    depth = 10_000
+    e = mul(const(-0.0), var(2))
+    for _ in range(depth):
+        e = op_node("sin", e)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        back = pickle.loads(pickle.dumps(e))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert back == e and repr(back) == repr(e)
+    rng = random.Random(19)
+    for _ in range(200):
+        tree = random_raw_expression(rng, constants=(-0.0, 5e-324, 1e308, 2.5))
+        assert repr(pickle.loads(pickle.dumps(tree))) == repr(tree)
