@@ -131,8 +131,8 @@ def _generate_one(args):
 def cmd_generate(args) -> int:
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
-    if args.noise < 0:
-        raise UsageError(f"--noise must be >= 0, got {args.noise}")
+    if not 0.0 <= args.noise < math.inf:
+        raise UsageError(f"--noise must be finite and >= 0, got {args.noise}")
     ratios = _ratios(args.split)
     _check_rows(args.rows, ratios)
     seed = _master_seed(args.seed)

@@ -11,8 +11,12 @@ fault-free. Everything is deterministic given (spec, n, seed).
 
 On-disk format: one row per line, sampled variables in spec order with the
 target last. ``write`` prints each float64 cell as its shortest round-trip
-``repr``, one space between cells, ``\\n`` after each row. ``read`` parses
-with ``np.loadtxt`` and accepts:
+digits, one space between cells, ``\\n`` after each row; it computes those
+digits itself (:mod:`.floattext`) and its bytes equal ``repr``'s. It refuses
+a non-finite cell with ``read``'s ``DataError`` before the file is opened,
+so no data file holds one; ``inject_noise`` refuses a noise level, noise
+scale or noisy target that is not finite. ``read`` parses with
+``np.loadtxt`` and accepts:
 
 - lines ending in ``\\n``, ``\\r\\n`` or ``\\r``; blank and whitespace-only
   lines are skipped;
@@ -36,6 +40,7 @@ in preorder, one per ``C``, possibly empty).
 
 from __future__ import annotations
 
+import math
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -56,6 +61,7 @@ from .expr import (
     variable_index,
 )
 from .expr.skeleton import constant_leaf
+from .floattext import format_rows
 
 DEFAULT_ROWS = 10_000
 DEFAULT_RATIOS = (0.8, 0.1, 0.1)
@@ -178,20 +184,27 @@ def inject_noise(ds: Dataset, gamma: float, seed, mode: str = "mean") -> Dataset
     The noise scale is ``gamma * sqrt(|mean(y)|)``. Targets are signed, so
     the mean is run through ``abs`` before the square root; ``mode="rms"``
     switches the inner statistic to the mean square. ``gamma=0`` returns
-    bit-identical targets.
+    bit-identical targets. A noise scale or a noisy target that is not
+    finite raises ``DataError``, without an overflow warning.
     """
-    if gamma < 0:
-        raise DataError(f"noise level must be >= 0, got {gamma}")
+    if not 0 <= gamma < math.inf:
+        raise DataError(f"noise level must be finite and >= 0, got {gamma}")
     values = ds.values.copy()
     if gamma > 0:
-        if mode == "mean":
-            scale = gamma * np.sqrt(np.abs(values[:, -1].mean()))
-        elif mode == "rms":
-            scale = gamma * np.sqrt(np.mean(values[:, -1] ** 2))
-        else:
-            raise DataError(f"unknown noise mode {mode!r}")
+        with np.errstate(over="ignore"):
+            if mode == "mean":
+                scale = gamma * np.sqrt(np.abs(values[:, -1].mean()))
+            elif mode == "rms":
+                scale = gamma * np.sqrt(np.mean(values[:, -1] ** 2))
+            else:
+                raise DataError(f"unknown noise mode {mode!r}")
+        if not np.isfinite(scale):
+            raise DataError(f"noise level {gamma} gives a non-finite noise scale")
         rng = np.random.default_rng(seed)
-        values[:, -1] = values[:, -1] + rng.normal(0.0, scale, values.shape[0])
+        with np.errstate(over="ignore"):
+            values[:, -1] = values[:, -1] + rng.normal(0.0, scale, values.shape[0])
+        if not np.isfinite(values[:, -1]).all():
+            raise DataError(f"noise level {gamma} gives a non-finite noisy target")
     return Dataset(values)
 
 
@@ -199,13 +212,21 @@ def inject_noise(ds: Dataset, gamma: float, seed, mode: str = "mean") -> Dataset
 # File I/O
 # ---------------------------------------------------------------------------
 
+def _check_finite(values: np.ndarray, path) -> None:
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad_row = np.flatnonzero(~finite.all(axis=1))[0]
+        raise DataError(f"{path}: non-finite value in data row {bad_row + 1}")
+
+
 def write(ds: Dataset, path) -> None:
-    """Write ``ds.values`` as float64 text: each cell its ``repr``, cells
-    joined by one space, each row ending in ``\\n``; zero rows write ``\\n``."""
+    """Write ``ds.values`` as float64 text: each cell the digits ``repr``
+    prints, cells joined by one space, each row ending in ``\\n``; zero rows
+    write ``\\n``. A non-finite cell raises ``DataError`` before the file is
+    opened."""
     values = np.asarray(ds.values, dtype=np.float64)
-    n, k = values.shape
-    text = ((" ".join(["%r"] * k) + "\n") * n) % tuple(values.ravel().tolist()) if n else "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    _check_finite(values, path)
+    Path(path).write_bytes(format_rows(values))
 
 
 def read_text(path) -> str:
@@ -251,9 +272,7 @@ def read(path) -> Dataset:
         raise DataError(_scan_error(path, err)) from None
     if values.shape[0] == 0:
         raise DataError(f"{path}: no data rows")
-    bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if bad_rows.size:
-        raise DataError(f"{path}: non-finite value in data row {bad_rows[0] + 1}")
+    _check_finite(values, path)
     return Dataset(values)
 
 
@@ -302,7 +321,10 @@ def write_problem_dir(
     ds = sample(spec, rows, derive_seed(seed, spec.id))
     if noise_level > 0:
         noise_seed = np.random.SeedSequence([seed, zlib.crc32(spec.id.encode("utf-8")), 0x5E])
-        ds = inject_noise(ds, noise_level, noise_seed, mode=noise_mode)
+        try:
+            ds = inject_noise(ds, noise_level, noise_seed, mode=noise_mode)
+        except DataError as err:
+            raise DataError(f"{spec.id}: {err}") from None
     train, val, test = split(ds, ratios)
     out = Path(root) / spec.id
     out.mkdir(parents=True, exist_ok=True)

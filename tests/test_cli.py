@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from srsdkit import datagen
@@ -663,6 +664,32 @@ def test_generate_with_noise_perturbs_targets_only(tmp_path, capsys):
     noisy = read(noisy_dir / "I.12.1" / "train.txt")
     assert (clean.X == noisy.X).all()
     assert not (clean.y == noisy.y).all()
+
+
+@pytest.mark.parametrize("noise", ["inf", "nan", "-1"])
+def test_generate_with_a_non_finite_or_negative_noise_is_usage_error(tmp_path, capsys, noise):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "generate", "--set", "easy", "--rows", "10", "--noise", noise,
+                       "--out", str(out))
+    assert code == 1
+    assert err == f"usage error: --noise must be finite and >= 0, got {float(noise)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_generate_refuses_noise_that_overflows_and_writes_no_non_finite_cell(tmp_path, capsys):
+    # III.7.38's noise scale overflows at this level; the problems written
+    # before it still hold only finite cells.
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "generate", "--set", "easy", "--rows", "10", "--noise", "1e300",
+                       "--out", str(out))
+    assert code == 2
+    assert err == "error: III.7.38: noise level 1e+300 gives a non-finite noise scale\n"
+    assert not (out / "III.7.38").exists()
+    splits = [p for p in out.glob("*/*.txt") if p.name != "true_eq.txt"]
+    assert splits
+    for path in splits:
+        assert np.isfinite(datagen.read(path).values).all()
 
 
 def test_generate_custom_split_ratios(tmp_path, capsys):

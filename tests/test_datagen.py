@@ -137,6 +137,31 @@ def test_noise_rms_mode():
         inject_noise(ds, 0.1, seed=7, mode="median")
 
 
+@pytest.mark.parametrize("gamma", [math.inf, math.nan, -1.0])
+def test_noise_level_must_be_finite_and_non_negative(gamma):
+    ds = Dataset(np.array([[1.0, 2.0]]))
+    with pytest.raises(DataError, match="noise level must be finite and >= 0"):
+        inject_noise(ds, gamma, seed=1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["mean", "rms"])
+def test_noise_scale_that_overflows_is_a_data_error_without_a_warning(mode):
+    ds = Dataset(np.array([[1.0, 1e300], [2.0, 1e300]]))
+    with pytest.raises(DataError, match="non-finite noise scale"):
+        inject_noise(ds, 1e300, seed=1, mode=mode)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_noisy_target_that_overflows_is_a_data_error_without_a_warning():
+    # The huge targets cancel in the mean, so the scale (about 6.7e307) is
+    # finite, but target plus noise overflows.
+    y = np.array([1.7e308, -1.7e308] * 4 + [4.0])
+    ds = Dataset(np.column_stack([np.arange(9.0), y]))
+    with pytest.raises(DataError, match="noise level 1e\\+308 gives a non-finite noisy target"):
+        inject_noise(ds, 1e308, seed=1)
+
+
 def test_noise_grid_levels_supported():
     ds = sample(load_builtin("I.12.1"), 2000, 3)
     for gamma in (0.0, 1e-3, 1e-2, 1e-1):
@@ -198,6 +223,20 @@ def test_writer_bytes_are_pinned(tmp_path, rows, dtype, expected):
     path = tmp_path / "rows.txt"
     write(Dataset(np.array(rows, dtype=dtype)), path)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("cell", [math.inf, -math.inf, math.nan])
+def test_write_refuses_a_non_finite_cell_with_reads_error_before_opening_the_file(tmp_path, cell):
+    values = np.array([[1.0, 2.0], [3.0, cell], [cell, 4.0]])
+    path, twin = tmp_path / "rows.txt", tmp_path / "twin.txt"
+    with pytest.raises(DataError) as err:
+        write(Dataset(values), path)
+    assert str(err.value) == f"{path}: non-finite value in data row 2"
+    assert not path.exists()
+    twin.write_text(line_write_text(values))
+    with pytest.raises(DataError) as read_err:
+        read(twin)
+    assert str(read_err.value) == f"{twin}: non-finite value in data row 2"
 
 
 def test_empty_split_is_written_as_one_newline(tmp_path):
