@@ -31,6 +31,7 @@ import numpy as np
 from . import catalog as cat
 from . import datagen, evalkit, gp, synthgen
 from .expr import (
+    CanonicalizationError,
     DecodeError,
     ParseError,
     VariableIndexError,
@@ -575,6 +576,7 @@ def build_parser() -> _Parser:
 
 
 _DATA_ERRORS = (
+    CanonicalizationError,
     cat.CatalogError,
     datagen.DataError,
     DecodeError,

@@ -13,6 +13,7 @@ the canonicalizer's rewrite rules; an undecided case reports False).
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from .catalog import BUILTIN_SETS
 from .datagen import Dataset
 from .expr import (
     Expression,
+    Memo,
     canonicalize,
     div,
     evaluate_many,
@@ -32,6 +34,7 @@ from .treedist import distance_result
 
 TINY_TARGET = 1e-300  # rows with |y| below this are skipped by Eq-style relative error
 DEFAULT_TAU = 0.999
+_HELD_BY_OWNER = contextlib.nullcontext()  # the owner of FitnessRows holds np.errstate
 
 
 class ZeroVarianceError(ValueError):
@@ -68,22 +71,50 @@ def is_symbolic_solution(pred: Expression, truth: Expression) -> bool:
     return ratio.is_constant and ratio.value != 0.0
 
 
-def relative_error_score(expr, X: np.ndarray, y: np.ndarray) -> float:
+class FitnessRows:
+    """One ``X`` and ``y`` made ready for the many :func:`relative_error_score`
+    calls of a GP run. The target-side terms, which depend only on ``y``, are
+    computed once, and ``memo`` keeps ``sin``, ``cos``, ``exp`` and ``log``
+    results over ``X`` (see :class:`.expr.Memo`). It lives as long as the run,
+    belongs to these two arrays only, and is used, like its memo, inside
+    ``np.errstate(all="ignore")`` held by its owner."""
+
+    __slots__ = ("X", "y", "usable", "n_usable", "memo")
+
+    def __init__(self, X: np.ndarray, y: np.ndarray):
+        self.X = X
+        self.y = y
+        self.usable = np.abs(y) >= TINY_TARGET
+        self.n_usable = np.count_nonzero(self.usable)
+        self.memo = Memo(X)
+
+
+def relative_error_score(expr, X: np.ndarray, y: np.ndarray, rows: FitnessRows | None = None) -> float:
     """Mean squared relative error of ``expr`` (an ``Expression`` or a
     program), skipping near-zero targets and faulting rows; infinity when
-    over half the rows fault or nothing is scorable."""
-    values, faulted = evaluate_many(expr, X)
+    over half the rows fault or nothing is scorable. ``rows``, made for
+    this very ``X`` and ``y``, saves the work that depends only on them and
+    gives the same score."""
+    if rows is None:
+        usable = np.abs(y) >= TINY_TARGET
+        n_usable = np.count_nonzero(usable)
+        memo = None
+    elif y is not rows.y:
+        raise ValueError("the fitness rows were made for another target")
+    else:
+        usable, n_usable, memo = rows.usable, rows.n_usable, rows.memo
+    values, faulted = evaluate_many(expr, X, memo)
     n_faulted = np.count_nonzero(faulted)
     if 2 * n_faulted > faulted.size:  # exact, and total on 0 rows
         return math.inf
-    usable = np.abs(y) >= TINY_TARGET
     if n_faulted:
-        usable &= ~faulted
-    n_usable = np.count_nonzero(usable)
+        usable = usable & ~faulted
+        n_usable = np.count_nonzero(usable)
     if n_usable == 0:
         return math.inf
     # values is this call's own array: the ratio is formed in place, then skipped rows dropped.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    errors = np.errstate(over="ignore", invalid="ignore", divide="ignore") if rows is None else _HELD_BY_OWNER
+    with errors:
         values -= y
         values /= y
         values *= values

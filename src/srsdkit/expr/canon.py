@@ -52,6 +52,10 @@ from .nodes import (
 _MAX_PASSES = 50
 
 
+class CanonicalizationError(ValueError):
+    """The rewrite passes did not reach a fixed point within ``_MAX_PASSES``."""
+
+
 def canonicalize(expr: Expression) -> Expression:
     """Return the canonical form; a fixed point of this function."""
     current = expr
@@ -60,7 +64,7 @@ def canonicalize(expr: Expression) -> Expression:
         if after == current:
             return after
         current = after
-    raise AssertionError("canonicalization did not reach a fixed point")
+    raise CanonicalizationError(f"canonicalization did not reach a fixed point in {_MAX_PASSES} passes")
 
 
 def _rewrite(op: str, *children: Expression) -> Expression:

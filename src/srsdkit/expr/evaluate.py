@@ -30,14 +30,28 @@ root are not checked, nor is a constant root.
 Faults cover log of a non-positive, 0 raised to a negative power, a negative
 base with a fractional exponent, division by zero, and overflow to infinity:
 evaluation never returns NaN or infinity silently.
+
+A caller that evaluates thousands of programs over the same rows, as GP
+fitness does, may pass a :class:`Memo` of ``sin``, ``cos``, ``exp`` and
+``log`` results: crossover copies subtrees, so the same subprograms recur
+across a run (subtree caching, Keijzer, EuroGP 2004). Ownership is explicit:
+an array this call may overwrite is an operator result that is writeable,
+and the memo's arrays are read-only. They still count as operator results
+for the fault mask, so a hiding operator checks a memo hit as it checks a
+result it computed, and a root that is a memo hit is copied.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
-from .nodes import OPERATORS, Expression, to_program
+from .nodes import OPERATORS, Expression, subtree_end, to_program
 
+MEMO_BYTES = 1 << 19  # the most a Memo holds: 512 KB of result arrays
+_MEMOIZED = frozenset(("sin", "cos", "exp", "log"))
+_HELD_BY_OWNER = contextlib.nullcontext()  # a memo's owner holds np.errstate
 _HIDES_NONFINITE = frozenset(name for name, op in OPERATORS.items() if op.hides_nonfinite)
 
 
@@ -45,27 +59,81 @@ class VariableIndexError(ValueError):
     """The tree reads a variable that the data matrix has no column for."""
 
 
-def evaluate_many(expr, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class Memo:
+    """Result arrays of ``sin``, ``cos``, ``exp`` and ``log`` subprograms over
+    the rows of one ``X``, for :func:`evaluate_many` to reuse.
+
+    An entry maps the program slice of such a node, ``program[i:end]``, to
+    the node's result. The memo holds at most ``MEMO_BYTES`` of arrays,
+    counted as ``capacity`` arrays of ``n`` rows (none past 65,536 rows), and
+    when full drops its oldest entry. Its arrays are read-only.
+
+    Slices key as programs compare, so ``0.0 == -0.0`` and ``sin -0.0`` may
+    be served the result of ``sin 0.0``. That changes only the sign of a zero
+    or of an infinity. On a row where every operator result is finite, each
+    operator of the table maps operands that differ only in the sign of a
+    zero to results that differ at most in the sign of a zero (``x * -0.0``,
+    ``sin -0.0``); ``1 / -0.0``, ``log`` of a zero and a zero to a negative
+    power are infinite, whatever the sign, and make the row fault. So no
+    fault mask changes, no finite value other than a zero, and no relative
+    error, since ``0.0 - y == -0.0 - y``.
+
+    A memo belongs to the ``X`` it was made with: :func:`evaluate_many`
+    raises ``ValueError`` for any other array, even an equal one. Its owner
+    holds ``np.errstate(all="ignore")`` while it evaluates with it, so that
+    ``evaluate_many`` need not enter one per call.
+    """
+
+    __slots__ = ("X", "capacity", "results")
+
+    def __init__(self, X: np.ndarray):
+        self.X = X
+        self.capacity = MEMO_BYTES // (8 * max(1, X.shape[0]))
+        self.results: dict[tuple, np.ndarray] = {}
+
+    def keep(self, key: tuple, values: np.ndarray) -> None:
+        """Hold ``values``, the result of subprogram ``key``; from now on no
+        one writes into it."""
+        if not self.capacity:
+            return
+        if len(self.results) >= self.capacity:
+            del self.results[next(iter(self.results))]
+        values.flags.writeable = False
+        self.results[key] = values
+
+
+def evaluate_many(expr, X: np.ndarray, memo: Memo | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate ``expr``, an ``Expression`` or its program (see
     :func:`.nodes.to_program`), over all rows of ``X`` (shape (n, k)).
 
     Returns ``(values, fault_mask)``. ``values`` is meaningful only where
-    ``fault_mask`` is False, and never shares memory with ``X``.
+    ``fault_mask`` is False, and is this call's own array: it never shares
+    memory with ``X`` or with ``memo``.
+
+    With a ``memo`` made for ``X``, a ``sin``, ``cos``, ``exp`` or ``log``
+    node whose subprogram the memo holds takes the held array instead of
+    applying its ufunc, and one that it does not hold gives the memo its
+    result. Both give the same values and fault mask, up to the sign of a
+    zero (see :class:`Memo`).
     """
     program = to_program(expr) if isinstance(expr, Expression) else expr
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-dimensional")
+    if memo is not None and memo.X is not X:
+        raise ValueError("the memo was made for other rows")
     n, width = X.shape
     # An operand is a constant still held as a float, a column view of X
-    # (it has a base), or an operator result this call allocated (no base),
-    # which may be overwritten.
+    # (it has a base), or an operator result (no base). Only a writeable
+    # operator result is this call's own and may be overwritten; the memo's
+    # arrays are read-only. Every operator result counts for the fault mask.
     operands: list = []
     checked: list[np.ndarray] = []  # isfinite of results a hiding operator took
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore") if memo is None else _HELD_BY_OWNER:
         # Reversed, a preorder program leaves an operator's first operand on
         # top of the stack, its second under it, and so on.
-        for token in reversed(program):
+        for i in range(len(program) - 1, -1, -1):
+            token = program[i]
             if type(token) is float:
                 operands.append(token)
                 continue
@@ -76,11 +144,19 @@ def evaluate_many(expr, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 continue
             name, k, ufunc = token
             if name in _HIDES_NONFINITE:
-                # Checked before the ufunc may overwrite them: a non-finite
-                # result here could come out finite (1/exp(1000) == 0.0).
+                # Checked before the ufunc may overwrite them, or a memo hit
+                # replaces them: a non-finite result here could come out
+                # finite (1/exp(1000) == 0.0).
                 for operand in operands[-k:]:
                     if type(operand) is not float and operand.base is None:
                         checked.append(np.isfinite(operand))
+            key = None
+            if memo is not None and name in _MEMOIZED:  # all unary
+                key = program[i:subtree_end(program, i)]
+                held = memo.results.get(key)
+                if held is not None:
+                    operands[-1] = held
+                    continue
             first = operands.pop()
             if type(first) is float:
                 first = _filled(n, first)
@@ -88,15 +164,17 @@ def evaluate_many(expr, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # owns it: later operands of add and mul are read only after both
             # of those have been consumed.
             if k == 1:
-                out = first if first.base is None else np.empty(n)
+                out = first if first.base is None and first.flags.writeable else np.empty(n)
                 ufunc(first, out=out)
+                if key is not None:
+                    memo.keep(key, out)
             else:
                 second = operands.pop()
                 if type(second) is float:
                     second = _filled(n, second)
-                if first.base is None:
+                if first.base is None and first.flags.writeable:
                     out = first
-                elif second.base is None:
+                elif second.base is None and second.flags.writeable:
                     out = second
                 else:
                     out = np.empty(n)
@@ -109,7 +187,7 @@ def evaluate_many(expr, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values = operands.pop()
     if type(values) is float:  # a constant root: nothing to check
         return _filled(n, values), np.zeros(n, dtype=bool)
-    if values.base is not None:
+    if values.base is not None or not values.flags.writeable:
         values = values.copy()
     # An operator not marked hides_nonfinite keeps a non-finite operand
     # non-finite, so a non-finite result anywhere below reaches the root or a

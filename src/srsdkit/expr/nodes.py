@@ -191,6 +191,20 @@ def operator_token(name: str, arity: int) -> tuple:
     return (name, arity, OPERATORS[name].ufunc)
 
 
+def subtree_end(program, start: int) -> int:
+    """End of the slice of ``program`` holding the subtree that starts at
+    ``start``. A token's operand count is read inline: a float or a 1-tuple
+    takes none, an operator ``token[1]``; a call per token cost more than the
+    rest of the walk."""
+    end = start
+    pending = 1
+    while pending:
+        token = program[end]
+        pending += (0 if type(token) is float or len(token) == 1 else token[1]) - 1
+        end += 1
+    return end
+
+
 def to_program(expr: Expression) -> tuple:
     """The program of ``expr``: one token per node, in preorder."""
     return tuple(

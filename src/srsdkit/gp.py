@@ -25,6 +25,16 @@ rebuilt every generation re-scored 9.0% of the seed-1 ``discover_easy``
 fitness calls). It costs about 260 B per program and is cleared between
 generations once it holds ``SCORE_TABLE_LIMIT`` programs; a default run
 scores at most about 5k.
+
+Distinct programs still share subtrees, which crossover copies. So a run also
+makes its training rows ready once, as an :class:`.evalkit.FitnessRows`:
+the target-side terms of the score, and a :class:`.expr.Memo` of ``sin``,
+``cos``, ``exp`` and ``log`` results that lives as long as the run and holds
+at most ``expr.evaluate.MEMO_BYTES`` (512 KB, 40 arrays at 1,600 rows). The
+memo's arrays are read-only, and a memo hit counts for the fault mask as a
+computed result does, so every score is the one a fresh evaluation gives.
+``evolve`` holds one ``np.errstate`` per generation for all of its fitness
+calls, which then enter none of their own.
 """
 
 from __future__ import annotations
@@ -37,8 +47,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datagen import Dataset
-from .evalkit import relative_error_score
-from .expr import OPERATORS, Expression, from_program, operator_token
+from .evalkit import FitnessRows, relative_error_score
+from .expr import OPERATORS, Expression, from_program, operator_token, subtree_end
 
 DEFAULT_OPERATORS = ("add", "sub", "mul", "div", "sin", "cos", "exp", "log")
 SCORE_TABLE_LIMIT = 1 << 16
@@ -158,20 +168,10 @@ class _TreeFactory:
         return tuple(out) if _depth(out) <= self.config.max_depth else (self.terminal(),)
 
 
-# The three walks below read a program token's operand count inline: a
-# float or a 1-tuple takes none, an operator ``token[1]``. They run once per
-# child, and a call per token cost more than the rest of the walk.
-
-def _subtree_end(program, start: int) -> int:
-    """End of the slice holding the subtree that starts at ``start``."""
-    end = start
-    pending = 1
-    while pending:
-        token = program[end]
-        pending += (0 if type(token) is float or len(token) == 1 else token[1]) - 1
-        end += 1
-    return end
-
+# The two walks below read a program token's operand count inline, as
+# ``subtree_end`` does: a float or a 1-tuple takes none, an operator
+# ``token[1]``. They run once per child, and a call per token cost more than
+# the rest of the walk.
 
 def _depth(program) -> int:
     """Number of levels, from one pass; a leaf has depth 1."""
@@ -212,13 +212,13 @@ def _crossover(a: tuple, b: tuple, rng: random.Random, max_depth: int) -> tuple:
     # A random preorder index draws as rng.choice over the list of nodes would.
     i = rng.randrange(len(a))
     j = rng.randrange(len(b))
-    child = a[:i] + b[j:_subtree_end(b, j)] + a[_subtree_end(a, i):]
+    child = a[:i] + b[j:subtree_end(b, j)] + a[subtree_end(a, i):]
     return child if _depth(child) <= max_depth else a
 
 
 def _subtree_mutation(a: tuple, factory: _TreeFactory, rng: random.Random) -> tuple:
     i = rng.randrange(len(a))
-    child = a[:i] + factory.grow(3) + a[_subtree_end(a, i):]
+    child = a[:i] + factory.grow(3) + a[subtree_end(a, i):]
     return child if _depth(child) <= factory.config.max_depth else a
 
 
@@ -242,10 +242,13 @@ def _point_mutation(a: tuple, factory: _TreeFactory, rng: random.Random, rate=0.
     return tuple(out)
 
 
-def fitness(expr, train: Dataset) -> float:
+def fitness(expr, train: Dataset, rows: FitnessRows | None = None) -> float:
     """Mean squared relative error on the training rows (lower is better) of
-    an ``Expression`` or a program."""
-    return relative_error_score(expr, train.X, train.y)
+    an ``Expression`` or a program. ``rows`` is ``train`` made ready once per
+    run by :func:`evolve`; the score is the same with or without it."""
+    if rows is None:
+        return relative_error_score(expr, train.X, train.y)
+    return relative_error_score(expr, rows.X, rows.y, rows)
 
 
 def _tournament(fitnesses: list[float], rng: random.Random, k: int) -> int:
@@ -279,17 +282,19 @@ def evolve(train: Dataset, config: GPConfig) -> list[Expression]:
     rng = random.Random(config.seed)
     factory = _TreeFactory(config, n_vars, rng)
 
+    rows = FitnessRows(train.X, train.y)
     programs = [factory.ramped() for _ in range(config.population_size)]
     table: dict[tuple, float] = {}  # program -> fitness, for the whole run
     for generation in range(config.generations + 1):
         if len(table) >= SCORE_TABLE_LIMIT:
             table.clear()
         fitnesses = []
-        for program in programs:
-            score = table.get(program)
-            if score is None:
-                score = table[program] = fitness(program, train)
-            fitnesses.append(score)
+        with np.errstate(all="ignore"):  # for rows, which leave it to their owner
+            for program in programs:
+                score = table.get(program)
+                if score is None:
+                    score = table[program] = fitness(program, train, rows)
+                fitnesses.append(score)
         elite = fitnesses.index(min(fitnesses))
         if generation == config.generations or fitnesses[elite] <= config.early_stop:
             break

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from srsdkit.catalog import builtin_problems
 from srsdkit.expr import (
     OPERATORS,
+    CanonicalizationError,
     add,
     canonicalize,
     compare,
@@ -313,3 +314,13 @@ def test_a_thousand_level_power_cascade_canonicalizes():
         sys.setrecursionlimit(limit)
     # e raised to about 2^1000, constants whose product would overflow, and x2.
     assert skeletonize(c) == ("mul4", "pow", "C", "C", "C", "C", "X2")
+
+
+def test_running_out_of_passes_is_a_named_error(monkeypatch):
+    # div(X1, X2) takes two passes: one rewrites it, the next finds no change.
+    expr = div(var(0), var(1))
+    assert canonicalize(expr) == canonicalize(canonicalize(expr))
+    monkeypatch.setattr(canon, "_MAX_PASSES", 1)
+    with pytest.raises(CanonicalizationError, match="fixed point in 1 passes"):
+        canonicalize(expr)
+    assert issubclass(CanonicalizationError, ValueError)

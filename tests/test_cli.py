@@ -13,6 +13,7 @@ import pytest
 
 from srsdkit import datagen
 from srsdkit.cli import main
+from srsdkit.expr import canon
 
 
 def run(capsys, *argv):
@@ -188,6 +189,17 @@ def test_eval_prediction_with_missing_variable_is_data_error(tmp_path, easy_data
                        "--data-dir", str(easy_data))
     assert code == 2
     assert "I.12.1" in err and "X9" in err
+
+
+def test_eval_canonicalization_out_of_passes_is_data_error(tmp_path, easy_data, capsys, monkeypatch):
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    # add(X1, X1) takes two passes: one merges the terms, the next finds no change.
+    (preds / "I.12.1.txt").write_text("add2 X1 X1\n")
+    monkeypatch.setattr(canon, "_MAX_PASSES", 1)
+    code, _, err = run(capsys, "eval", "--pred-dir", str(preds), "--data-dir", str(easy_data))
+    assert code == 2
+    assert err == "error: canonicalization did not reach a fixed point in 1 passes\n"
 
 
 @pytest.mark.parametrize("name", ["test.txt", "true_eq.txt"])

@@ -261,9 +261,9 @@ def test_no_tree_is_scored_twice_in_one_run(monkeypatch):
     train = sample(spec, 200, derive_seed(2, spec.id))
     scored = []
 
-    def spy(expr, data):
+    def spy(expr, data, rows=None):
         scored.append(expr)
-        return fitness(expr, data)
+        return fitness(expr, data, rows)
 
     monkeypatch.setattr(gp, "fitness", spy)
     evolve(train, GPConfig(population_size=80, generations=5, seed=1))
@@ -277,9 +277,9 @@ def test_a_cleared_score_table_changes_no_output(monkeypatch):
     cfg = GPConfig(population_size=80, generations=8, top_k=3, seed=1)
     scored = []
 
-    def spy(expr, data):
+    def spy(expr, data, rows=None):
         scored.append(expr)
-        return fitness(expr, data)
+        return fitness(expr, data, rows)
 
     monkeypatch.setattr(gp, "fitness", spy)
     evolve(train, cfg)
