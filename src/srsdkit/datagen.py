@@ -9,6 +9,12 @@ after rounding or make the true formula fault (division by zero, log of a
 non-positive, overflow) are rejected and redrawn, so emitted datasets are
 fault-free. Everything is deterministic given (spec, n, seed).
 
+One problem is generated without copies: each batch of candidates is one
+Fortran-ordered array, its good rows go straight into the one ``n x (k+1)``
+table ``sample`` returns, ``split`` cuts row-range views of that table, and
+``write`` sends each chunk of text to the file as it is formatted. The peak
+is the table, one batch with the formula's temporaries, and one chunk.
+
 On-disk format: one row per line, sampled variables in spec order with the
 target last. ``write`` prints each float64 cell as its shortest round-trip
 digits, one space between cells, ``\\n`` after each row; it computes those
@@ -107,56 +113,64 @@ def derive_seed(master_seed: int, problem_id: str) -> np.random.SeedSequence:
 
 
 def _draw_columns(spec: ProblemSpec, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """One batch of candidate rows plus a per-row constraint-violation mask."""
-    columns = []
+    """One batch of candidate rows plus a per-row constraint-violation mask.
+
+    The batch is one Fortran-ordered array, each variable's draws written
+    into its own contiguous column."""
+    X = np.empty((count, len(spec.sampled_variables)), order="F")
     violated = np.zeros(count, dtype=bool)
-    for var in spec.sampled_variables:
+    for var, values in zip(spec.sampled_variables, X.T):
         dist = var.dist
         if dist.kind == "loguniform":
-            exponents = rng.uniform(np.log10(dist.lo), np.log10(dist.hi), count)
-            values = np.power(10.0, exponents)
+            np.power(10.0, rng.uniform(np.log10(dist.lo), np.log10(dist.hi), count), out=values)
             if var.sign == "negative":
-                values = -values
+                np.negative(values, out=values)
             elif var.sign == "any":
-                values = values * (rng.integers(0, 2, count) * 2.0 - 1.0)
+                values *= rng.integers(0, 2, count) * 2.0 - 1.0
         else:
-            values = rng.uniform(dist.lo, dist.hi, count)
+            values[:] = rng.uniform(dist.lo, dist.hi, count)
         if var.value_class in ("integer", "wide_integer"):
-            values = np.rint(values)
+            np.rint(values, out=values)
         if var.sign == "positive":
             violated |= values <= 0.0
         elif var.sign == "negative":
             violated |= values >= 0.0
         elif var.sign == "nonnegative":
             violated |= values < 0.0
-        columns.append(values)
-    X = np.column_stack(columns) if columns else np.empty((count, 0))
     return X, violated
 
 
 def sample(spec: ProblemSpec, n: int, seed) -> Dataset:
-    """Draw ``n`` fault-free rows and their targets from the spec."""
+    """Draw ``n`` fault-free rows and their targets from the spec.
+
+    Batches of ``max(2 * (n - accepted), 1024)`` candidate rows are drawn
+    until ``n`` are accepted; each batch's good rows are copied, column by
+    column, straight into one preallocated ``n x (k+1)`` table, and rows past
+    the ``n``-th are dropped. The infeasibility test counts every good row
+    drawn, kept or not."""
     if n < 1:
         raise DataError(f"row count must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     program = to_program(spec.canonical_expression)
-    chunks: list[np.ndarray] = []
+    table = np.empty((n, len(spec.sampled_variables) + 1))
     accepted = 0
     drawn = 0
     while accepted < n:
         batch = max(2 * (n - accepted), 1024)
         X, violated = _draw_columns(spec, rng, batch)
         y, faulted = evaluate_many(program, X)
-        keep = ~(violated | faulted)
-        good = np.column_stack([X[keep], y[keep]])
-        chunks.append(good)
-        accepted += good.shape[0]
+        good = np.flatnonzero(~(violated | faulted))
+        rows = good[:n - accepted]
+        part = table[accepted:accepted + rows.size]
+        for j, column in enumerate((*X.T, y)):
+            part[:, j] = column[rows]
+        accepted += good.size
         drawn += batch
         if drawn >= max(_MIN_PROBE, _INFEASIBLE_FACTOR * n) and accepted < 0.01 * drawn:
             raise SamplingInfeasibleError(
                 f"{spec.id}: rejection rate above 99% ({accepted}/{drawn} accepted)"
             )
-    return Dataset(np.concatenate(chunks, axis=0)[:n])
+    return Dataset(table)
 
 
 def split_sizes(n: int, ratios=DEFAULT_RATIOS) -> tuple[int, int, int]:
@@ -172,10 +186,11 @@ def split_sizes(n: int, ratios=DEFAULT_RATIOS) -> tuple[int, int, int]:
 
 
 def split(ds: Dataset, ratios=DEFAULT_RATIOS) -> tuple[Dataset, Dataset, Dataset]:
-    """Disjoint, covering, order-preserving train/val/test partition."""
+    """Disjoint, covering, order-preserving train/val/test partition. Each
+    part is a row-range view of ``ds.values``, not a copy."""
     n_train, n_val, _ = split_sizes(ds.n_rows, ratios)
     bounds = (0, n_train, n_train + n_val, ds.n_rows)
-    return tuple(Dataset(ds.values[lo:hi].copy()) for lo, hi in zip(bounds, bounds[1:]))
+    return tuple(Dataset(ds.values[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
 
 def inject_noise(ds: Dataset, gamma: float, seed, mode: str = "mean") -> Dataset:
@@ -223,10 +238,12 @@ def write(ds: Dataset, path) -> None:
     """Write ``ds.values`` as float64 text: each cell the digits ``repr``
     prints, cells joined by one space, each row ending in ``\\n``; zero rows
     write ``\\n``. A non-finite cell raises ``DataError`` before the file is
-    opened."""
+    opened. The text goes to the file one chunk at a time, as
+    :func:`.floattext.format_rows` yields it."""
     values = np.asarray(ds.values, dtype=np.float64)
     _check_finite(values, path)
-    Path(path).write_bytes(format_rows(values))
+    with open(path, "wb") as file:
+        file.writelines(format_rows(values))
 
 
 def read_text(path) -> str:

@@ -108,7 +108,9 @@ def evaluate_many(expr, X: np.ndarray, memo: Memo | None = None) -> tuple[np.nda
 
     Returns ``(values, fault_mask)``. ``values`` is meaningful only where
     ``fault_mask`` is False, and is this call's own array: it never shares
-    memory with ``X`` or with ``memo``.
+    memory with ``X`` or with ``memo``. A program that is not one tree, with
+    an operator short of operands or operands left over, raises
+    ``ValueError``.
 
     With a ``memo`` made for ``X``, a ``sin``, ``cos``, ``exp`` or ``log``
     node whose subprogram the memo holds takes the held array instead of
@@ -130,60 +132,65 @@ def evaluate_many(expr, X: np.ndarray, memo: Memo | None = None) -> tuple[np.nda
     operands: list = []
     checked: list[np.ndarray] = []  # isfinite of results a hiding operator took
     with np.errstate(all="ignore") if memo is None else _HELD_BY_OWNER:
-        # Reversed, a preorder program leaves an operator's first operand on
-        # top of the stack, its second under it, and so on.
-        for i in range(len(program) - 1, -1, -1):
-            token = program[i]
-            if type(token) is float:
-                operands.append(token)
-                continue
-            if len(token) == 1:
-                if token[0] >= width:
-                    raise _missing_column(program, width)
-                operands.append(X[:, token[0]])
-                continue
-            name, k, ufunc = token
-            if name in _HIDES_NONFINITE:
-                # Checked before the ufunc may overwrite them, or a memo hit
-                # replaces them: a non-finite result here could come out
-                # finite (1/exp(1000) == 0.0).
-                for operand in operands[-k:]:
-                    if type(operand) is not float and operand.base is None:
-                        checked.append(np.isfinite(operand))
-            key = None
-            if memo is not None and name in _MEMOIZED:  # all unary
-                key = program[i:subtree_end(program, i)]
-                held = memo.results.get(key)
-                if held is not None:
-                    operands[-1] = held
+        try:
+            # Reversed, a preorder program leaves an operator's first operand on
+            # top of the stack, its second under it, and so on.
+            for i in range(len(program) - 1, -1, -1):
+                token = program[i]
+                if type(token) is float:
+                    operands.append(token)
                     continue
-            first = operands.pop()
-            if type(first) is float:
-                first = _filled(n, first)
-            # The result goes into the first or second operand when this call
-            # owns it: later operands of add and mul are read only after both
-            # of those have been consumed.
-            if k == 1:
-                out = first if first.base is None and first.flags.writeable else np.empty(n)
-                ufunc(first, out=out)
-                if key is not None:
-                    memo.keep(key, out)
-            else:
-                second = operands.pop()
-                if type(second) is float:
-                    second = _filled(n, second)
-                if first.base is None and first.flags.writeable:
-                    out = first
-                elif second.base is None and second.flags.writeable:
-                    out = second
+                if len(token) == 1:
+                    if token[0] >= width:
+                        raise _missing_column(program, width)
+                    operands.append(X[:, token[0]])
+                    continue
+                name, k, ufunc = token
+                if name in _HIDES_NONFINITE:
+                    # Checked before the ufunc may overwrite them, or a memo hit
+                    # replaces them: a non-finite result here could come out
+                    # finite (1/exp(1000) == 0.0).
+                    for operand in operands[-k:]:
+                        if type(operand) is not float and operand.base is None:
+                            checked.append(np.isfinite(operand))
+                key = None
+                if memo is not None and name in _MEMOIZED:  # all unary
+                    key = program[i:subtree_end(program, i)]
+                    held = memo.results.get(key)
+                    if held is not None:
+                        operands[-1] = held
+                        continue
+                first = operands.pop()
+                if type(first) is float:
+                    first = _filled(n, first)
+                # The result goes into the first or second operand when this call
+                # owns it: later operands of add and mul are read only after both
+                # of those have been consumed.
+                if k == 1:
+                    out = first if first.base is None and first.flags.writeable else np.empty(n)
+                    ufunc(first, out=out)
+                    if key is not None:
+                        memo.keep(key, out)
                 else:
-                    out = np.empty(n)
-                ufunc(first, second, out=out)
-                # add and mul fold left to right; they round a float operand
-                # exactly as an array of it.
-                for _ in range(k - 2):
-                    ufunc(out, operands.pop(), out=out)
-            operands.append(out)
+                    second = operands.pop()
+                    if type(second) is float:
+                        second = _filled(n, second)
+                    if first.base is None and first.flags.writeable:
+                        out = first
+                    elif second.base is None and second.flags.writeable:
+                        out = second
+                    else:
+                        out = np.empty(n)
+                    ufunc(first, second, out=out)
+                    # add and mul fold left to right; they round a float operand
+                    # exactly as an array of it.
+                    for _ in range(k - 2):
+                        ufunc(out, operands.pop(), out=out)
+                operands.append(out)
+        except IndexError:  # an operator popped from an empty stack
+            raise ValueError(f"malformed program: {name!r} at position {i} lacks an operand") from None
+    if len(operands) != 1:
+        raise ValueError(f"malformed program: it leaves {len(operands)} operands, not one")
     values = operands.pop()
     if type(values) is float:  # a constant root: nothing to check
         return _filled(n, values), np.zeros(n, dtype=bool)

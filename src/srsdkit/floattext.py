@@ -4,7 +4,9 @@
 the shortest decimal digit string that reads back to the same double, the
 one nearest the double when several are that short (ties to an even last
 digit), in Python's ``'r'`` layout; cells are joined by one space and each
-row ends in ``\\n``. Every cell must be finite.
+row ends in ``\\n``. Every cell must be finite. The array may have any
+memory layout; the text is yielded one chunk of whole rows at a time, so a
+writer holds one chunk's text, never a whole file's.
 
 Digits come from Schubfach (R. Giulietti, "The Schubfach way to render
 doubles", 2020, as in the JDK's ``DoubleToDecimal``), run on whole arrays in
@@ -32,7 +34,7 @@ float64, so every operand that meets a ``uint64`` array is ``np.uint64``.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -165,17 +167,21 @@ def _tables() -> _Tables:
     )
 
 
-def format_rows(values: np.ndarray) -> bytes:
-    """The ``"%r"`` text of a 2-D array of finite float64 cells: one space
-    between cells, ``\\n`` after each row, and ``\\n`` alone for no rows."""
+def format_rows(values: np.ndarray) -> Iterator[bytes]:
+    """The ``"%r"`` text of a 2-D array of finite float64 cells, in any
+    memory layout: one space between cells, ``\\n`` after each row, and
+    ``\\n`` alone for no rows. It is yielded one chunk of whole rows at a
+    time, so no more than one chunk's text is held at once."""
     rows, cols = values.shape
     if rows == 0:
-        return b"\n"
-    if cols == 0:
-        return b"\n" * rows
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    step = max(1, _CHUNK_CELLS // cols)
-    return b"".join(_format_chunk(bits[lo:lo + step]) for lo in range(0, rows, step))
+        yield b"\n"
+    elif cols == 0:
+        yield b"\n" * rows
+    else:
+        step = max(1, _CHUNK_CELLS // cols)
+        for lo in range(0, rows, step):
+            chunk = np.ascontiguousarray(values[lo:lo + step], dtype=np.float64)
+            yield _format_chunk(chunk.view(np.uint64))
 
 
 def _le(a, b):

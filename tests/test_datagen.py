@@ -27,6 +27,7 @@ from srsdkit.datagen import (
     write_true_equation,
 )
 from srsdkit.expr import constant_values, evaluate_many, skeletonize
+from srsdkit.floattext import _CHUNK_CELLS
 
 
 def test_sampling_is_deterministic():
@@ -97,6 +98,7 @@ def test_split_sizes_and_order():
     train, val, test = split(ds)
     assert (train.n_rows, val.n_rows, test.n_rows) == (800, 100, 100)
     assert (np.concatenate([train.values, val.values, test.values]) == ds.values).all()
+    assert all(part.values.base is ds.values for part in (train, val, test))  # views, not copies
 
     tiny = split(sample(spec, 10, 0))
     assert tuple(p.n_rows for p in tiny) == (8, 1, 1)
@@ -169,12 +171,25 @@ def test_noise_grid_levels_supported():
         assert np.isfinite(noisy.y).all()
 
 
+def _layouts(values: np.ndarray) -> dict[str, np.ndarray]:
+    """``values`` as a C-order table, a Fortran-order table and a row-range
+    view into a taller table."""
+    taller = np.concatenate([np.ones((1, values.shape[1])), values, np.ones((2, values.shape[1]))])
+    return {"C": np.ascontiguousarray(values), "F": np.asfortranarray(values), "view": taller[1:-2]}
+
+
 def test_write_read_round_trip_is_bit_exact(tmp_path):
-    ds = sample(load_builtin("II.11.28"), 500, 8)
+    # Three chunks, the last one short: 3,000 rows of 3 columns, 1,365 rows a chunk.
+    ds = sample(load_builtin("II.11.28"), 3000, 8)
+    assert ds.n_rows % (_CHUNK_CELLS // ds.values.shape[1]) != 0
     path = tmp_path / "rows.txt"
     write(ds, path)
     back = read(path)
     assert (back.values == ds.values).all()
+    expected = line_write_text(ds.values).encode("utf-8")
+    for layout, values in _layouts(ds.values).items():
+        write(Dataset(values), path)
+        assert path.read_bytes() == expected, layout
 
 
 def test_read_errors(tmp_path):
@@ -215,6 +230,7 @@ PINNED_WRITES = [
     (np.empty((0, 3)), np.float64, "\n"),
     ([[1, 2], [3, 4]], np.int64, "1.0 2.0\n3.0 4.0\n"),
     ([[0.1, 2.5]], np.float32, "0.10000000149011612 2.5\n"),
+    (np.empty((3, 0)), np.float64, "\n\n\n"),
 ]
 
 
@@ -250,10 +266,11 @@ finite_float64 = st.floats(allow_nan=False, allow_infinity=False, allow_subnorma
 
 
 @settings(max_examples=200, deadline=None)
-@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6), elements=finite_float64))
-def test_write_matches_line_writer_and_reads_back_bit_exact(tmp_path_factory, values):
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6), elements=finite_float64),
+       st.sampled_from(["C", "F", "view"]))
+def test_write_matches_line_writer_and_reads_back_bit_exact(tmp_path_factory, values, layout):
     path = tmp_path_factory.mktemp("rt") / "rows.txt"
-    write(Dataset(values), path)
+    write(Dataset(_layouts(values)[layout]), path)
     assert path.read_bytes() == line_write_text(values).encode("utf-8")
     if values.shape[0] == 0 or values.shape[1] == 0:
         return

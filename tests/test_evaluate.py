@@ -13,6 +13,7 @@ from srsdkit.expr import (
     from_program,
     mul,
     op_node,
+    operator_token,
     parse,
     pow_,
     skeletonize,
@@ -174,6 +175,16 @@ def test_evaluate_many_rejects_missing_column():
     # The leftmost missing variable is named, though the loop meets X9 first.
     with pytest.raises(VariableIndexError, match=r"X5 \(index 4\)"):
         evaluate_many(to_program(mul(var(4), var(8))), np.ones((3, 2)))
+
+
+def test_evaluate_many_rejects_a_malformed_program():
+    sin, add, log = (operator_token(name, arity) for name, arity in (("sin", 1), ("add", 2), ("log", 1)))
+    X = np.ones((3, 2))
+    # One operand too many: sin(X1 + 1) would come back and log X2 be lost.
+    with pytest.raises(ValueError, match="^malformed program: it leaves 2 operands, not one$"):
+        evaluate_many((sin, add, (0,), 1.0, log, (1,)), X)
+    with pytest.raises(ValueError, match="^malformed program: 'add' at position 0 lacks an operand$"):
+        evaluate_many((add, (0,)), X)
 
 
 def test_program_round_trips_to_the_same_tree():
