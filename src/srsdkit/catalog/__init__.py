@@ -119,18 +119,32 @@ def _expect(obj, key, types, path):
     return value
 
 
+def _finite(obj, key, path) -> float:
+    """Field ``key`` of ``obj``: a number that is a finite double."""
+    value = _expect(obj, key, (int, float), path)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past the largest double
+        value = math.inf
+    if not math.isfinite(value):
+        raise CatalogError(f"{path}.{key}: must be a finite number, got {value}")
+    return value
+
+
 def _dist_from_payload(obj, path) -> Distribution:
     kind = _expect(obj, "kind", str, path)
     if kind not in DIST_KINDS:
         raise CatalogError(f"{path}.kind: unknown distribution {kind!r}")
     if kind == "fixed":
-        return fixed(_expect(obj, "value", (int, float), path))
-    lo = float(_expect(obj, "lo", (int, float), path))
-    hi = float(_expect(obj, "hi", (int, float), path))
+        return fixed(_finite(obj, "value", path))
+    lo = _finite(obj, "lo", path)
+    hi = _finite(obj, "hi", path)
     if not (lo < hi):
         raise CatalogError(f"{path}: requires lo < hi, got [{lo}, {hi}]")
     if kind == "loguniform" and lo <= 0:
         raise CatalogError(f"{path}: loguniform magnitudes need lo > 0, got {lo}")
+    if kind == "uniform" and not math.isfinite(hi - lo):
+        raise CatalogError(f"{path}: uniform width hi - lo overflows, got [{lo}, {hi}]")
     return Distribution(kind, lo=lo, hi=hi)
 
 

@@ -289,6 +289,9 @@ def cmd_synth(args) -> int:
         raise UsageError(f"--max-tokens must be >= 1, got {args.max_tokens}")
     if args.copies_max < 1:
         raise UsageError(f"--copies-max must be >= 1, got {args.copies_max}")
+    for flag, k in (("--k-lo", args.k_lo), ("--k-hi", args.k_hi)):
+        if not synthgen.K_MIN <= k <= synthgen.K_MAX:
+            raise UsageError(f"{flag} must be in [{synthgen.K_MIN}, {synthgen.K_MAX}], got {k}")
     if args.k_lo > args.k_hi:
         raise UsageError(f"--k-lo must be <= --k-hi, got {args.k_lo} > {args.k_hi}")
     if not 0.0 <= args.alpha < math.inf:
@@ -312,10 +315,13 @@ def cmd_synth(args) -> int:
         )
         copies = int(copy_rng.integers(1, args.copies_max + 1))
         datasets = []
+        # Each copy's spec is made from the one before, so the copies share
+        # one nested tree and canonicalize it once.
+        spec = expr
         for copy in range(copies):
             pid = f"synth-{i:05d}-{copy:02d}"
             spec = synthgen.assign_ranges(
-                expr,
+                spec,
                 np.random.SeedSequence([seed, i, copy]),
                 k_lo=args.k_lo,
                 k_hi=args.k_hi,

@@ -9,6 +9,12 @@ after rounding or make the true formula fault (division by zero, log of a
 non-positive, overflow) are rejected and redrawn, so emitted datasets are
 fault-free. Everything is deterministic given (spec, n, seed).
 
+A spec is infeasible when fewer than 1% of the rows drawn are good. Before
+drawing, ``sample`` bounds the formula over the box of the variables' ranges
+(:func:`.expr.sure_fault`): when some operator is non-finite on every row of
+that box, no row can be good, and the spec is refused without a draw.
+Otherwise the sampler finds out by drawing, after at least 20,000 rows.
+
 One problem is generated without copies: each batch of candidates is one
 Fortran-ordered array, its good rows go straight into the one ``n x (k+1)``
 table ``sample`` returns, ``split`` cuts row-range views of that table, and
@@ -62,6 +68,7 @@ from .expr import (
     decode_preorder,
     evaluate_many,
     op_node,
+    sure_fault,
     to_program,
     var,
     variable_index,
@@ -83,7 +90,8 @@ class DataError(ValueError):
 
 
 class SamplingInfeasibleError(DataError):
-    """Rejection rate exceeded 99% over the probe window."""
+    """Rejection rate exceeded 99% over the probe window, or an operator of
+    the formula is non-finite on every row the ranges allow."""
 
 
 @dataclass
@@ -140,9 +148,29 @@ def _draw_columns(spec: ProblemSpec, rng: np.random.Generator, count: int) -> tu
     return X, violated
 
 
+def _box(spec: ProblemSpec) -> list[tuple[float, float]]:
+    """The range of each column :func:`_draw_columns` draws, before
+    rounding: a signed log-uniform magnitude, or a uniform value, widened by
+    one half for ``rint``."""
+    box = []
+    for var in spec.sampled_variables:
+        lo, hi = var.dist.lo, var.dist.hi
+        if var.dist.kind == "loguniform" and var.sign == "negative":
+            lo, hi = -hi, -lo
+        elif var.dist.kind == "loguniform" and var.sign == "any":
+            lo = -hi
+        if var.value_class in ("integer", "wide_integer"):
+            lo, hi = lo - 0.5, hi + 0.5
+        box.append((lo, hi))
+    return box
+
+
 def sample(spec: ProblemSpec, n: int, seed) -> Dataset:
     """Draw ``n`` fault-free rows and their targets from the spec.
 
+    A spec whose formula has an operator that is non-finite everywhere on
+    the box of its variables' ranges raises ``SamplingInfeasibleError``
+    naming that operator, before any draw; see :func:`.expr.sure_fault`.
     Batches of ``max(2 * (n - accepted), 1024)`` candidate rows are drawn
     until ``n`` are accepted; each batch's good rows are copied, column by
     column, straight into one preallocated ``n x (k+1)`` table, and rows past
@@ -152,6 +180,12 @@ def sample(spec: ProblemSpec, n: int, seed) -> Dataset:
         raise DataError(f"row count must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     program = to_program(spec.canonical_expression)
+    fault = sure_fault(program, _box(spec))
+    if fault is not None:
+        raise SamplingInfeasibleError(
+            f"{spec.id}: {fault[0]} at preorder position {fault[1]} is non-finite"
+            " on every row the variable ranges allow"
+        )
     table = np.empty((n, len(spec.sampled_variables) + 1))
     accepted = 0
     drawn = 0

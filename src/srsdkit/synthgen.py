@@ -29,6 +29,7 @@ opened, so they are not validated either.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -51,6 +52,9 @@ from .expr import (
 )
 
 START = "<s>"
+
+# The range exponents k for which 10^(k-1) is positive and 10^(k+1) finite.
+K_MIN, K_MAX = -322, 307
 
 
 class SynthError(ValueError):
@@ -163,7 +167,7 @@ def _nested_left(expr: Expression) -> Expression:
 
 
 def assign_ranges(
-    expr: Expression,
+    expr: Expression | ProblemSpec,
     seed,
     k_lo: int = -8,
     k_hi: int = 8,
@@ -173,8 +177,18 @@ def assign_ranges(
 
     Each variable independently draws an integer k in [k_lo, k_hi] and
     samples log-uniformly from [10^(k-1), 10^(k+1)], positive float.
+
+    ``expr`` may also be a spec an earlier call returned. The new spec then
+    shares its nested tree, canonical tree and skeleton, which ranges do not
+    change, so the copies of one equation canonicalize it once.
     """
-    indices = sorted(expr.variables())
+    if isinstance(expr, ProblemSpec):
+        expr.skeleton  # computed once here, then shared through the copy
+        spec = copy.copy(expr)
+    else:
+        spec = ProblemSpec(id=problem_id, set_name="synth", formula=None,
+                           expression=_nested_left(expr))
+    indices = sorted(spec.expression.variables())
     if not indices:
         raise SynthError("equation has no variables to assign ranges to")
     if indices != list(range(len(indices))):
@@ -191,13 +205,9 @@ def assign_ranges(
                 sign="positive",
             )
         )
-    return ProblemSpec(
-        id=problem_id,
-        set_name="synth",
-        formula=None,
-        variables=variables,
-        expression=_nested_left(expr),
-    )
+    spec.id = problem_id
+    spec.variables = variables
+    return spec
 
 
 def range_exponent(spec_variable: VariableSpec) -> int:

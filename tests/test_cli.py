@@ -85,6 +85,11 @@ def test_rows_that_leave_a_split_empty_are_usage_errors(tmp_path, capsys, comman
 @pytest.mark.parametrize("flags, name", [
     (["--copies-max", "0"], "--copies-max"),
     (["--k-lo", "3", "--k-hi", "1"], "--k-lo"),
+    # 10^(k+1) overflows past k = 307, and 10^(k-1) is 0 below k = -322.
+    (["--k-lo", "308", "--k-hi", "308"], "--k-lo"),
+    (["--k-lo", "-323", "--k-hi", "-323"], "--k-lo"),
+    (["--k-hi", "308"], "--k-hi"),
+    (["--k-lo", "-323"], "--k-lo"),
     (["--alpha", "-1"], "--alpha"),
     (["--alpha", "nan"], "--alpha"),
     (["--max-tokens", "0"], "--max-tokens"),
@@ -96,6 +101,68 @@ def test_synth_with_impossible_sampling_flags_is_usage_error(tmp_path, capsys, f
     assert code == 1
     assert err.startswith("usage error: ") and name in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("k", ["-322", "307"])
+def test_synth_accepts_the_extreme_range_exponents(tmp_path, capsys, k):
+    code, out, _ = run(capsys, "synth", "--n", "2", "--rows", "100", "--seed", "1",
+                       "--k-lo", k, "--k-hi", k, "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert json.loads(out)["config"]["k_lo"] == int(k)
+
+
+def test_synth_canonicalizes_each_equation_once(tmp_path, capsys, monkeypatch):
+    # The copies of an equation share one canonical tree: one canonicalize
+    # call per equation, plus those sample_equation makes to reject a
+    # constant.
+    from srsdkit import catalog, synthgen
+
+    calls = []
+    for module in (catalog, synthgen):
+        original = module.canonicalize
+        monkeypatch.setattr(module, "canonicalize",
+                            lambda expr, original=original, name=module.__name__:
+                            calls.append(name) or original(expr))
+    code, out, _ = run(capsys, "synth", "--n", "4", "--rows", "100", "--seed", "1",
+                       "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert sum(len(e["datasets"]) for e in json.loads(out)["equations"]) > 4
+    assert calls.count("srsdkit.catalog") == 4
+
+
+_X = {"kind": "uniform", "lo": 1.0, "hi": 2.0}
+_C = {"kind": "fixed", "value": 2.0}
+_INF = float("inf")
+
+
+@pytest.mark.parametrize("x, c, field", [
+    ({"kind": "loguniform", "lo": 1.0, "hi": _INF}, _C, "variables[0].dist.hi"),
+    ({"kind": "uniform", "lo": -_INF, "hi": 1.0}, _C, "variables[0].dist.lo"),
+    ({"kind": "uniform", "lo": -1e308, "hi": 1e308}, _C, "variables[0].dist"),
+    ({"kind": "loguniform", "lo": 1, "hi": 10 ** 400}, _C, "variables[0].dist.hi"),
+    (_X, {"kind": "fixed", "value": _INF}, "variables[1].dist.value"),
+])
+def test_catalog_bound_that_is_not_finite_is_data_error(tmp_path, capsys, x, c, field):
+    catalog_path = tmp_path / "wide.json"
+    catalog_path.write_text(json.dumps([{"id": "wide", "set": "easy", "formula": "x * c", "variables": [
+        {"name": "x", "dist": x, "class": "float", "sign": "any"},
+        {"name": "c", "dist": c, "class": "float", "sign": "any"}]}]))
+    code, _, err = run(capsys, "generate", "--catalog", str(catalog_path), "--set", "easy",
+                       "--rows", "10", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith(f"error: {catalog_path}[0].{field}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_generate_refuses_a_catalog_formula_that_faults_everywhere(tmp_path, capsys):
+    catalog_path = tmp_path / "neg.json"
+    catalog_path.write_text(json.dumps([{"id": "neg", "set": "easy", "formula": "log(-x)", "variables": [
+        {"name": "x", "dist": _X, "class": "float", "sign": "any"}]}]))
+    code, _, err = run(capsys, "generate", "--catalog", str(catalog_path), "--set", "easy",
+                       "--rows", "10", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err == ("error: neg: log at preorder position 0 is non-finite on every row"
+                   " the variable ranges allow\n")
 
 
 @pytest.mark.parametrize("workers", ["0", "-5"])

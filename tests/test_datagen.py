@@ -73,12 +73,40 @@ def test_zero_rows_rejected():
 
 
 def test_infeasible_sampling_raises():
+    # Refused before any draw: the base of sqrt is at most -1 on [0, 1].
     spec = ProblemSpec(
         id="impossible", set_name="easy", formula="sqrt(-1 - x^2)",
         variables=[VariableSpec("x", uniform(0.0, 1.0))],
     )
-    with pytest.raises(SamplingInfeasibleError):
+    with pytest.raises(SamplingInfeasibleError, match="impossible: pow at preorder position 0 "
+                       "is non-finite on every row the variable ranges allow"):
         sample(spec, 10, 0)
+
+
+def test_infeasible_sampling_found_by_drawing():
+    # The operand of log straddles 0 on [0, 1], so no proof applies; only
+    # 2 of the 20,480 rows drawn are good.
+    spec = ProblemSpec(
+        id="rare", set_name="easy", formula="log(x - 0.9999)",
+        variables=[VariableSpec("x", uniform(0.0, 1.0))],
+    )
+    with pytest.raises(SamplingInfeasibleError, match=r"rare: rejection rate above 99% "
+                       r"\(2/20480 accepted\)"):
+        sample(spec, 10, 0)
+
+
+def test_a_refused_spec_draws_nothing(monkeypatch):
+    import srsdkit.datagen as datagen
+
+    calls = []
+    monkeypatch.setattr(datagen, "_draw_columns", lambda *args: calls.append(args))
+    spec = ProblemSpec(
+        id="huge", set_name="easy", formula="exp(x)",
+        variables=[VariableSpec("x", loguniform(1e3, 1e4), sign="positive")],
+    )
+    with pytest.raises(SamplingInfeasibleError, match="huge: exp at preorder position 0"):
+        sample(spec, 10, 0)
+    assert calls == []
 
 
 def test_loguniform_magnitudes_are_log_uniform():

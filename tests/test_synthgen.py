@@ -105,6 +105,18 @@ def test_assign_ranges_canonicalizes_as_the_written_and_parsed_formula(catalog_m
             assert repr(spec.canonical_expression) == repr(parsed), (seed, i)
 
 
+def test_assign_ranges_from_a_spec_shares_its_trees(catalog_model):
+    expr = sample_equation(catalog_model, 32, np.random.SeedSequence([1, 3]))
+    first = assign_ranges(expr, np.random.SeedSequence([1]), problem_id="a")
+    second = assign_ranges(first, np.random.SeedSequence([2]), problem_id="b")
+    fresh = assign_ranges(expr, np.random.SeedSequence([2]), problem_id="b")
+    assert second.canonical_expression is first.canonical_expression
+    assert second.skeleton is first.skeleton
+    assert (first.id, second.id) == ("a", "b")
+    assert second.variables == fresh.variables != first.variables
+    assert repr(second.canonical_expression) == repr(fresh.canonical_expression)
+
+
 def test_assign_ranges_k_zero_bounds():
     from srsdkit.expr import var, mul
     spec = assign_ranges(mul(var(0), var(1)), np.random.SeedSequence([0]), k_lo=0, k_hi=0)
