@@ -85,14 +85,14 @@ def test_rows_that_leave_a_split_empty_are_usage_errors(tmp_path, capsys, comman
 @pytest.mark.parametrize("flags, name", [
     (["--copies-max", "0"], "--copies-max"),
     (["--k-lo", "3", "--k-hi", "1"], "--k-lo"),
+    (["--alpha", "-1"], "--alpha"),
+    (["--alpha", "nan"], "--alpha"),
+    (["--max-tokens", "0"], "--max-tokens"),
     # 10^(k+1) overflows past k = 307, and 10^(k-1) is 0 below k = -322.
     (["--k-lo", "308", "--k-hi", "308"], "--k-lo"),
     (["--k-lo", "-323", "--k-hi", "-323"], "--k-lo"),
     (["--k-hi", "308"], "--k-hi"),
     (["--k-lo", "-323"], "--k-lo"),
-    (["--alpha", "-1"], "--alpha"),
-    (["--alpha", "nan"], "--alpha"),
-    (["--max-tokens", "0"], "--max-tokens"),
 ])
 def test_synth_with_impossible_sampling_flags_is_usage_error(tmp_path, capsys, flags, name):
     out = tmp_path / "out"
