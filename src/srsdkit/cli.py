@@ -34,11 +34,8 @@ from .expr import (
     CanonicalizationError,
     DecodeError,
     ParseError,
-    VariableIndexError,
     canonicalize,
     expression_to_prefix,
-    prefix_to_expression,
-    skeletonize,
 )
 from .treedist import distance_result
 
@@ -111,7 +108,7 @@ def _check_rows(rows: int, ratios) -> None:
     if rows < 1:
         raise UsageError(f"--rows must be >= 1, got {rows}")
     sizes = datagen.split_sizes(rows, ratios)
-    for name, size in zip(("train", "val", "test"), sizes):
+    for name, size in zip(datagen.SPLIT_FILES, sizes):
         if size == 0:
             raise UsageError(f"--rows {rows} leaves the {name} split empty "
                              f"(train/val/test rows {'/'.join(map(str, sizes))})")
@@ -161,16 +158,9 @@ def cmd_generate(args) -> int:
 # ned
 # ---------------------------------------------------------------------------
 
-def _read_expression_line(path) -> str:
-    for line in datagen.read_text(path).splitlines():
-        if line.strip():
-            return line
-    raise datagen.DataError(f"{path}: no expression line")
-
-
 def cmd_ned(args) -> int:
-    result = distance_result(_read_expression_line(args.pred).split(),
-                             _read_expression_line(args.truth).split())
+    result = distance_result(datagen.read_expression_line(args.pred).split(),
+                             datagen.read_expression_line(args.truth).split())
     _emit(
         {
             "ned": round(result.normalized, 5),
@@ -186,77 +176,8 @@ def cmd_ned(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _problem_dirs(root: Path) -> list[Path]:
-    dirs = [p for p in sorted(root.iterdir()) if (p / "true_eq.txt").is_file()]
-    if not dirs:
-        raise datagen.DataError(f"{root}: no problem directories (missing true_eq.txt files)")
-    return dirs
-
-
-def _set_names_from_manifest(root: Path) -> dict[str, str]:
-    """Problem id → set name, from the ``problems`` list of a ``generate``
-    manifest; a manifest without that key (``synth`` writes ``equations``)
-    names no sets."""
-    manifest = root / "manifest.json"
-    if not manifest.is_file():
-        return {}
-    payload = json.loads(datagen.read_text(manifest))
-    problems = payload.get("problems", []) if isinstance(payload, dict) else None
-    if not isinstance(problems, list) or not all(isinstance(e, dict) for e in problems):
-        raise datagen.DataError(f"{manifest}: not a JSON object with a 'problems' list of objects")
-    return {e["id"]: e["set"] for e in problems
-            if isinstance(e.get("id"), str) and isinstance(e.get("set"), str)}
-
-
-def _load_prediction(pred_dir: Path, problem_id: str):
-    flat = pred_dir / f"{problem_id}.txt"
-    if flat.is_file():
-        return prefix_to_expression(_read_expression_line(flat).split())
-    nested = pred_dir / problem_id / "true_eq.txt"
-    if nested.is_file():
-        return datagen.read_true_equation(nested)
-    return None
-
-
 def cmd_eval(args) -> int:
-    data_root = Path(args.data_dir)
-    pred_root = Path(args.pred_dir)
-    set_names = _set_names_from_manifest(data_root)
-    rows = []
-    skipped = []
-    for pdir in _problem_dirs(data_root):
-        pid = pdir.name
-        pred = _load_prediction(pred_root, pid)
-        if pred is None:
-            skipped.append(pid)
-            continue
-        truth = datagen.read_true_equation(pdir / "true_eq.txt")
-        test = datagen.read(pdir / "test.txt")
-        val_path = pdir / "val.txt"
-        validation = datagen.read(val_path) if val_path.is_file() else None
-        try:
-            row = evalkit.evaluate_against(
-                pred,
-                truth,
-                test,
-                problem_id=pid,
-                set_name=set_names.get(pid, "unknown"),
-                tau=args.tau,
-                validation=validation,
-            )
-        except VariableIndexError as err:
-            raise datagen.DataError(f"{pid}: invalid prediction: {err}") from None
-        rows.append(row)
-    if not rows:
-        raise datagen.DataError(f"no predictions found under {pred_root}")
-    rows.sort(key=lambda row: row["id"])
-    payload = {
-        "problems": rows,
-        "summary": evalkit.summarize(rows),
-        "skipped": sorted(skipped),
-        "tau": args.tau,
-    }
-    _emit(payload, args.out)
+    _emit(evalkit.eval_report(args.pred_dir, args.data_dir, tau=args.tau), args.out)
     return 0
 
 
@@ -289,9 +210,10 @@ def cmd_synth(args) -> int:
         raise UsageError(f"--max-tokens must be >= 1, got {args.max_tokens}")
     if args.copies_max < 1:
         raise UsageError(f"--copies-max must be >= 1, got {args.copies_max}")
-    for flag, k in (("--k-lo", args.k_lo), ("--k-hi", args.k_hi)):
-        if not synthgen.K_MIN <= k <= synthgen.K_MAX:
-            raise UsageError(f"{flag} must be in [{synthgen.K_MIN}, {synthgen.K_MAX}], got {k}")
+    try:
+        synthgen.check_range_exponents(args.k_lo, args.k_hi, names=("--k-lo", "--k-hi"))
+    except synthgen.SynthError as err:
+        raise UsageError(str(err)) from None
     if args.k_lo > args.k_hi:
         raise UsageError(f"--k-lo must be <= --k-hi, got {args.k_lo} > {args.k_hi}")
     if not 0.0 <= args.alpha < math.inf:
@@ -357,67 +279,8 @@ def cmd_synth(args) -> int:
 # leakcheck
 # ---------------------------------------------------------------------------
 
-_SPLIT_FILES = ("train.txt", "val.txt", "test.txt")
-
-
-def _leakage_items(root: Path) -> list[synthgen.LeakageItem]:
-    """An item per problem directory under ``root``, with its skeleton and
-    no ranges yet; a directory without dataset files is a data error."""
-    items = []
-    for pdir in _problem_dirs(root):
-        skeleton = skeletonize(datagen.read_true_equation(pdir / "true_eq.txt"))
-        if not any((pdir / name).is_file() for name in _SPLIT_FILES):
-            raise datagen.DataError(f"{pdir}: no dataset files")
-        items.append(synthgen.LeakageItem(id=pdir.name, skeleton=skeleton, ranges=None))
-    return items
-
-
-def _with_ranges(root: Path, items: list[synthgen.LeakageItem],
-                 shared: set) -> list[synthgen.LeakageItem]:
-    """``items`` with the observed ranges of every item whose skeleton is in
-    ``shared``; the data files of the others are not read. Split files
-    of different widths are a data error."""
-    out = []
-    for item in items:
-        if item.skeleton in shared:
-            paths = [root / item.id / name for name in _SPLIT_FILES]
-            paths = [path for path in paths if path.is_file()]
-            chunks = [datagen.read(path).values for path in paths]
-            width = chunks[0].shape[1]
-            for path, chunk in zip(paths, chunks):
-                if chunk.shape[1] != width:
-                    raise datagen.DataError(f"{path}: expected {width} columns as in "
-                                            f"{paths[0].name}, found {chunk.shape[1]}")
-            ranges = synthgen.observed_ranges(np.concatenate(chunks, axis=0)[:, :-1])
-            item = dataclasses.replace(item, ranges=ranges)
-        out.append(item)
-    return out
-
-
 def cmd_leakcheck(args) -> int:
-    # Skeletons first: only problems whose skeleton the other side shares
-    # need their data files read.
-    corpus_root, target_root = Path(args.corpus), Path(args.catalog)
-    corpus = _leakage_items(corpus_root)
-    targets = _leakage_items(target_root)
-    shared = {i.skeleton for i in corpus} & {i.skeleton for i in targets}
-    result = synthgen.leakage_report(
-        _with_ranges(corpus_root, corpus, shared), _with_ranges(target_root, targets, shared)
-    )
-    payload = {
-        "mean_iou": result.mean_iou,
-        "mean_of_mean_iou": result.mean_of_mean_iou,
-        "per_equation": [
-            {
-                "id": e.target_id,
-                "n_matches": e.n_matches,
-                "max_iou": e.max_iou,
-                "mean_iou": e.mean_iou,
-            }
-            for e in sorted(result.per_equation, key=lambda e: e.target_id)
-        ],
-    }
-    _emit(payload, args.out)
+    _emit(synthgen.leakcheck_report(args.corpus, args.catalog), args.out)
     return 0
 
 
@@ -453,8 +316,8 @@ def _discover_one(args):
     pdir_text, base_config, n_seeds = args
     pdir = Path(pdir_text)
     pid = pdir.name
-    train = datagen.read(pdir / "train.txt")
-    val = datagen.read(pdir / "val.txt")
+    train = datagen.read(pdir / datagen.SPLIT_FILES["train"])
+    val = datagen.read(pdir / datagen.SPLIT_FILES["val"])
     candidates = []
     for offset in range(n_seeds):
         config = dataclasses.replace(base_config, seed=base_config.seed + offset)
@@ -481,7 +344,7 @@ def cmd_discover(args) -> int:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     config = _load_gp_config(args.gp_config, _master_seed(args.seed))
     data_root = Path(args.data_dir)
-    dirs = _problem_dirs(data_root)
+    dirs = datagen.problem_dirs(data_root)
     if args.problems:
         wanted = set(args.problems)
         dirs = [d for d in dirs if d.name in wanted]

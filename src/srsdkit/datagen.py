@@ -45,9 +45,10 @@ lines, blank ones included), ``no data rows``, and ``non-finite value in
 data row N`` (N counts data rows; ``nan`` and ``inf`` parse but are
 rejected). A ``true_eq.txt`` that is not UTF-8 raises the first of these.
 
-A problem directory holds train.txt / val.txt / test.txt plus true_eq.txt
-(line 1: the true skeleton in preorder tokens; line 2: its constant values
-in preorder, one per ``C``, possibly empty).
+A problem directory holds the ``SPLIT_FILES`` train.txt / val.txt / test.txt
+plus ``TRUE_EQ_FILE`` true_eq.txt (line 1: the true skeleton in preorder
+tokens; line 2: its constant values in preorder, one per ``C``, possibly
+empty). Other modules use these names; :func:`problem_dirs` finds the problems.
 """
 
 from __future__ import annotations
@@ -78,6 +79,8 @@ from .floattext import format_rows
 
 DEFAULT_ROWS = 10_000
 DEFAULT_RATIOS = (0.8, 0.1, 0.1)
+SPLIT_FILES = {"train": "train.txt", "val": "val.txt", "test": "test.txt"}
+TRUE_EQ_FILE = "true_eq.txt"
 
 # Rejection sampling gives up when acceptance stays below 1% after this many
 # multiples of the requested row count.
@@ -333,6 +336,14 @@ def write_true_equation(spec: ProblemSpec, path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def read_expression_line(path) -> str:
+    """The first non-blank line of an expression file: its preorder tokens."""
+    for line in read_text(path).splitlines():
+        if line.strip():
+            return line
+    raise DataError(f"{path}: no expression line")
+
+
 def read_true_equation(path) -> Expression:
     """The valued expression of a ``true_eq.txt``: its token line decoded
     once, each ``C`` taking the next entry of the constant line."""
@@ -376,17 +387,25 @@ def write_problem_dir(
             ds = inject_noise(ds, noise_level, noise_seed, mode=noise_mode)
         except DataError as err:
             raise DataError(f"{spec.id}: {err}") from None
-    train, val, test = split(ds, ratios)
+    parts = dict(zip(SPLIT_FILES, split(ds, ratios)))
     out = Path(root) / spec.id
     out.mkdir(parents=True, exist_ok=True)
-    for part, name in ((train, "train.txt"), (val, "val.txt"), (test, "test.txt")):
-        write(part, out / name)
-    write_true_equation(spec, out / "true_eq.txt")
+    for name, part in parts.items():
+        write(part, out / SPLIT_FILES[name])
+    write_true_equation(spec, out / TRUE_EQ_FILE)
     return {
         "id": spec.id,
         "set": spec.set_name,
         "rows": rows,
         "noise_level": noise_level,
         "columns": spec.column_names,
-        "splits": {"train": train.n_rows, "val": val.n_rows, "test": test.n_rows},
+        "splits": {name: part.n_rows for name, part in parts.items()},
     }
+
+
+def problem_dirs(root) -> list[Path]:
+    """The subdirectories of ``root`` with a ``TRUE_EQ_FILE``, sorted; none is a ``DataError``."""
+    dirs = [p for p in sorted(Path(root).iterdir()) if (p / TRUE_EQ_FILE).is_file()]
+    if not dirs:
+        raise DataError(f"{root}: no problem directories (missing {TRUE_EQ_FILE} files)")
+    return dirs

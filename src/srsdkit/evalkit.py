@@ -1,5 +1,6 @@
 """Scoring: R-squared accuracy, symbolic solution detection, relative-error
-model selection, and the per-problem report rows with their per-set summary.
+model selection, and the per-problem report rows with their per-set summary,
+for one problem or, by :func:`eval_report`, a directory of predictions.
 
 R-squared here is the standard coefficient of determination
 ``1 - SSE/SST``; a prediction that faults anywhere on the test rows scores
@@ -14,20 +15,25 @@ the canonicalizer's rewrite rules; an undecided case reports False).
 from __future__ import annotations
 
 import contextlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
+from . import datagen
 from .catalog import BUILTIN_SETS
-from .datagen import Dataset
 from .expr import (
+    DecodeError,
     Expression,
     Memo,
+    VariableIndexError,
     canonicalize,
     div,
     evaluate_many,
     neg,
     op_node,
+    prefix_to_expression,
     skeletonize,
 )
 from .treedist import distance_result
@@ -124,7 +130,7 @@ def relative_error_score(expr, X: np.ndarray, y: np.ndarray, rows: FitnessRows |
     return math.inf if math.isnan(score) else score
 
 
-def select_best(candidates: list[Expression], validation: Dataset) -> Expression:
+def select_best(candidates: list[Expression], validation: datagen.Dataset) -> Expression:
     """Pick the candidate minimizing the relative-error score on validation
     rows; ties break by smaller skeleton, then by input order."""
     if not candidates:
@@ -147,11 +153,11 @@ def select_best(candidates: list[Expression], validation: Dataset) -> Expression
 def evaluate_against(
     pred: Expression,
     truth: Expression,
-    test: Dataset,
+    test: datagen.Dataset,
     problem_id: str,
     set_name: str = "unknown",
     tau: float = DEFAULT_TAU,
-    validation: Dataset | None = None,
+    validation: datagen.Dataset | None = None,
 ) -> dict:
     """Score a prediction against an explicit truth expression: the report
     row ``eval`` prints. ``r_squared`` and ``selection_score`` are ``None``
@@ -200,3 +206,77 @@ def summarize(rows: list[dict]) -> dict[str, dict]:
             ),
         }
     return summary
+
+
+def _set_names_from_manifest(root: Path) -> dict[str, str]:
+    """Problem id → set name, from the ``problems`` list of a ``generate``
+    manifest; a manifest without that key (``synth`` writes ``equations``)
+    names no sets."""
+    manifest = root / "manifest.json"
+    if not manifest.is_file():
+        return {}
+    payload = json.loads(datagen.read_text(manifest))
+    problems = payload.get("problems", []) if isinstance(payload, dict) else None
+    if not isinstance(problems, list) or not all(isinstance(e, dict) for e in problems):
+        raise datagen.DataError(f"{manifest}: not a JSON object with a 'problems' list of objects")
+    return {e["id"]: e["set"] for e in problems
+            if isinstance(e.get("id"), str) and isinstance(e.get("set"), str)}
+
+
+def _load_prediction(pred_dir: Path, problem_id: str) -> Expression | None:
+    """``<id>.txt`` of preorder tokens, else the truth of a problem directory
+    ``<id>``, or ``None``."""
+    flat = pred_dir / f"{problem_id}.txt"
+    if flat.is_file():
+        try:
+            return prefix_to_expression(datagen.read_expression_line(flat).split())
+        except DecodeError as err:
+            raise datagen.DataError(f"{problem_id}: invalid prediction: {err}") from None
+    nested = pred_dir / problem_id / datagen.TRUE_EQ_FILE
+    if nested.is_file():
+        return datagen.read_true_equation(nested)
+    return None
+
+
+def eval_report(pred_dir, data_dir, tau: float = DEFAULT_TAU) -> dict:
+    """The report ``srsdkit eval`` prints: a :func:`evaluate_against` row for
+    each problem directory of ``data_dir`` with a prediction under
+    ``pred_dir``, their :func:`summarize` table, and the ``skipped`` ids. A
+    prediction that does not decode or reads a missing column raises
+    ``DataError`` naming its problem."""
+    data_root, pred_root = Path(data_dir), Path(pred_dir)
+    set_names = _set_names_from_manifest(data_root)
+    rows = []
+    skipped = []
+    for pdir in datagen.problem_dirs(data_root):
+        pid = pdir.name
+        pred = _load_prediction(pred_root, pid)
+        if pred is None:
+            skipped.append(pid)
+            continue
+        truth = datagen.read_true_equation(pdir / datagen.TRUE_EQ_FILE)
+        test = datagen.read(pdir / datagen.SPLIT_FILES["test"])
+        val_path = pdir / datagen.SPLIT_FILES["val"]
+        validation = datagen.read(val_path) if val_path.is_file() else None
+        try:
+            row = evaluate_against(
+                pred,
+                truth,
+                test,
+                problem_id=pid,
+                set_name=set_names.get(pid, "unknown"),
+                tau=tau,
+                validation=validation,
+            )
+        except VariableIndexError as err:
+            raise datagen.DataError(f"{pid}: invalid prediction: {err}") from None
+        rows.append(row)
+    if not rows:
+        raise datagen.DataError(f"no predictions found under {pred_root}")
+    rows.sort(key=lambda row: row["id"])
+    return {
+        "problems": rows,
+        "summary": summarize(rows),
+        "skipped": sorted(skipped),
+        "tau": tau,
+    }

@@ -125,6 +125,9 @@ def evaluate_many(expr, X: np.ndarray, memo: Memo | None = None) -> tuple[np.nda
     if memo is not None and memo.X is not X:
         raise ValueError("the memo was made for other rows")
     n, width = X.shape
+    if n == 1:  # evaluated as two copies of the row; see _filled
+        values, faulted = evaluate_many(program, np.repeat(X, 2, axis=0))
+        return values[:1], faulted[:1]
     # An operand is a constant still held as a float, a column view of X
     # (it has a base), or an operator result (no base). Only a writeable
     # operator result is this call's own and may be overwritten; the memo's
@@ -209,7 +212,9 @@ def evaluate_many(expr, X: np.ndarray, memo: Memo | None = None) -> tuple[np.nda
 def _filled(n: int, value: float) -> np.ndarray:
     """A length-``n`` array of ``value``. A full array, not a scalar:
     np.power takes shortcuts for scalar exponents such as 2.0 and 0.5 that
-    round differently."""
+    round differently. So does np.power writing into one of its own
+    one-element operands (numpy 2.4: ``x^2``, ``x^0.5``, ``x^-1``), so a
+    one-row table is evaluated as two copies of its row."""
     out = np.empty(n)
     out.fill(value)
     return out

@@ -21,9 +21,9 @@ is the worst case (max) over matching pairs; the mean over pairs is also
 reported.
 
 Since only matched items need ranges, an item may carry ``ranges=None``.
-``srsdkit leakcheck`` decodes every ``true_eq.txt`` of both roots first and
-reads ``train.txt``/``val.txt``/``test.txt`` only of problems whose skeleton
-occurs on both sides; the data files of the other problems are not
+:func:`leakcheck_report` decodes the true equation of every problem directory
+under both roots first and reads the split files only of problems whose
+skeleton occurs on both sides; the data files of the other problems are not
 opened, so they are not validated either.
 """
 
@@ -32,11 +32,13 @@ from __future__ import annotations
 import copy
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial, reduce
+from pathlib import Path
 
 import numpy as np
 
+from . import datagen
 from .catalog import ProblemSpec, VariableSpec, loguniform
 from .expr import (
     Expression,
@@ -45,6 +47,7 @@ from .expr import (
     decode_preorder,
     from_program,
     op_node,
+    skeletonize,
     to_program,
     token_arity,
     var,
@@ -58,7 +61,14 @@ K_MIN, K_MAX = -322, 307
 
 
 class SynthError(ValueError):
-    """Generation could not produce a usable equation within the retry budget."""
+    """No usable equation within the retry budget, or a range exponent out of bounds."""
+
+
+def check_range_exponents(k_lo: int, k_hi: int, names=("k_lo", "k_hi")) -> None:
+    """Raise ``SynthError`` naming (by ``names``) a bound outside [K_MIN, K_MAX]."""
+    for name, k in zip(names, (k_lo, k_hi)):
+        if not K_MIN <= k <= K_MAX:
+            raise SynthError(f"{name} must be in [{K_MIN}, {K_MAX}], got {k}")
 
 
 @dataclass
@@ -176,12 +186,14 @@ def assign_ranges(
     """Wrap an equation as a problem spec with random per-variable ranges.
 
     Each variable independently draws an integer k in [k_lo, k_hi] and
-    samples log-uniformly from [10^(k-1), 10^(k+1)], positive float.
+    samples log-uniformly from [10^(k-1), 10^(k+1)], positive float; a
+    bound outside [K_MIN, K_MAX] raises ``SynthError``.
 
     ``expr`` may also be a spec an earlier call returned. The new spec then
     shares its nested tree, canonical tree and skeleton, which ranges do not
     change, so the copies of one equation canonicalize it once.
     """
+    check_range_exponents(k_lo, k_hi)
     if isinstance(expr, ProblemSpec):
         expr.skeleton  # computed once here, then shared through the copy
         spec = copy.copy(expr)
@@ -301,3 +313,57 @@ def leakage_report(
         mean_iou=mean_iou,
         mean_of_mean_iou=mean_of_means,
     )
+
+
+def _leakage_items(root: Path) -> list[LeakageItem]:
+    """An item per problem directory under ``root``, with its skeleton and
+    no ranges yet; a directory without dataset files is a data error."""
+    items = []
+    for pdir in datagen.problem_dirs(root):
+        skeleton = skeletonize(datagen.read_true_equation(pdir / datagen.TRUE_EQ_FILE))
+        if not any((pdir / name).is_file() for name in datagen.SPLIT_FILES.values()):
+            raise datagen.DataError(f"{pdir}: no dataset files")
+        items.append(LeakageItem(id=pdir.name, skeleton=skeleton, ranges=None))
+    return items
+
+
+def _split_ranges(pdir: Path) -> tuple[tuple[float, float], ...]:
+    """The observed input ranges over the split files of a problem directory;
+    split files of different widths are a data error."""
+    paths = [pdir / name for name in datagen.SPLIT_FILES.values() if (pdir / name).is_file()]
+    chunks = [datagen.read(path).values for path in paths]
+    width = chunks[0].shape[1]
+    for path, chunk in zip(paths, chunks):
+        if chunk.shape[1] != width:
+            raise datagen.DataError(f"{path}: expected {width} columns as in "
+                                    f"{paths[0].name}, found {chunk.shape[1]}")
+    return observed_ranges(np.concatenate(chunks, axis=0)[:, :-1])
+
+
+def leakcheck_report(corpus_dir, target_dir) -> dict:
+    """The report ``srsdkit leakcheck`` prints: :func:`leakage_report` of the
+    problem directories under ``corpus_dir`` against those under
+    ``target_dir``. Skeletons first: only the problems whose skeleton the
+    other side shares have their data files read."""
+    corpus_root, target_root = Path(corpus_dir), Path(target_dir)
+    corpus, targets = _leakage_items(corpus_root), _leakage_items(target_root)
+    shared = {i.skeleton for i in corpus} & {i.skeleton for i in targets}
+
+    def with_ranges(root: Path, items: list[LeakageItem]) -> list[LeakageItem]:
+        return [replace(i, ranges=_split_ranges(root / i.id)) if i.skeleton in shared else i
+                for i in items]
+
+    result = leakage_report(with_ranges(corpus_root, corpus), with_ranges(target_root, targets))
+    return {
+        "mean_iou": result.mean_iou,
+        "mean_of_mean_iou": result.mean_of_mean_iou,
+        "per_equation": [
+            {
+                "id": e.target_id,
+                "n_matches": e.n_matches,
+                "max_iou": e.max_iou,
+                "mean_iou": e.mean_iou,
+            }
+            for e in sorted(result.per_equation, key=lambda e: e.target_id)
+        ],
+    }

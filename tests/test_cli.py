@@ -415,7 +415,8 @@ def test_malformed_constants_are_data_errors(tmp_path, easy_data, capsys):
     code, _, err = run(capsys, "eval", "--pred-dir", str(preds),
                        "--data-dir", str(easy_data))
     assert code == 2
-    assert err == "error: constant '1e999' at token 1 is not a finite decimal literal\n"
+    assert err == ("error: I.12.1: invalid prediction: constant '1e999' at token 1 "
+                   "is not a finite decimal literal\n")
 
     for bad in ("abc", "inf"):
         corpus = tmp_path / bad

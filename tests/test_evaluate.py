@@ -31,6 +31,26 @@ def _at(expr, *row):
     return values[0], bool(bad[0])
 
 
+@pytest.mark.parametrize("expr", [
+    pow_(var(0), const(2.0)),
+    pow_(var(0), const(0.5)),
+    pow_(var(0), const(-1.0)),
+    op_node("exp", pow_(var(0), const(0.5))),
+    pow_(var(0), const(3.0)),
+    pow_(var(0), const(-2.0)),
+    pow_(var(0), const(2.5)),
+    op_node("sqrt", var(0)),
+], ids=["x^2", "x^0.5", "x^-1", "exp(x^0.5)", "x^3", "x^-2", "x^2.5", "sqrt"])
+def test_a_row_has_the_same_bits_in_a_one_row_table(expr):
+    # np.power writing into its own one-element operand rounds x^2, x^0.5
+    # and x^-1 as its scalar-exponent shortcut does, not as its loop does.
+    X = 10 ** np.random.default_rng(3).uniform(-4, 4, (5000, 1))
+    full, full_faults = evaluate_many(expr, X)
+    rows = [evaluate_many(expr, X[i:i + 1]) for i in range(X.shape[0])]
+    assert np.concatenate([v for v, _ in rows]).tobytes() == full.tobytes()
+    assert np.array_equal(np.concatenate([f for _, f in rows]), full_faults)
+
+
 def test_product_at_point():
     assert _at(mul(var(0), var(1)), 0.5, 0.2) == (pytest.approx(0.1), False)
 

@@ -9,8 +9,10 @@ from oracle import to_infix
 from srsdkit import treedist
 from srsdkit.catalog import builtin_problems, load_builtin
 from srsdkit.datagen import derive_seed, sample
-from srsdkit.expr import canonicalize, parse, skeletonize
+from srsdkit.expr import canonicalize, parse, skeletonize, var
 from srsdkit.synthgen import (
+    K_MAX,
+    K_MIN,
     START,
     LeakageItem,
     SynthError,
@@ -122,6 +124,24 @@ def test_assign_ranges_k_zero_bounds():
     spec = assign_ranges(mul(var(0), var(1)), np.random.SeedSequence([0]), k_lo=0, k_hi=0)
     for v in spec.sampled_variables:
         assert (v.dist.lo, v.dist.hi) == (pytest.approx(0.1), pytest.approx(10.0))
+
+
+@pytest.mark.parametrize("k", [K_MIN, K_MAX])
+def test_assign_ranges_accepts_the_extreme_exponents(k):
+    spec = assign_ranges(var(0), 1, k_lo=k, k_hi=k)
+    (variable,) = spec.sampled_variables
+    assert 0.0 < variable.dist.lo < variable.dist.hi < float("inf")
+    assert range_exponent(variable) == k
+
+
+@pytest.mark.parametrize("k_lo, k_hi, bound", [
+    (308, 308, "k_lo"), (0, 308, "k_hi"), (-323, -323, "k_lo"), (-323, 0, "k_lo"),
+])
+def test_assign_ranges_refuses_an_exponent_out_of_bounds(k_lo, k_hi, bound):
+    k = k_lo if bound == "k_lo" else k_hi
+    with pytest.raises(SynthError) as info:
+        assign_ranges(var(0), 1, k_lo=k_lo, k_hi=k_hi)
+    assert str(info.value) == f"{bound} must be in [-322, 307], got {k}"
 
 
 def test_assign_ranges_draws_k_independently():
