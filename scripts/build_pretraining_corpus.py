@@ -12,6 +12,7 @@ import json
 import sys
 from pathlib import Path
 
+from srsdkit import datagen
 from srsdkit.cli import main as cli
 
 
@@ -35,7 +36,7 @@ def main():
     run(["synth", "--n", str(args.n), "--seed", str(args.seed),
          "--rows", str(args.rows), "--max-tokens", str(args.max_tokens),
          "--out", args.out])
-    manifest = json.loads((Path(args.out) / "manifest.json").read_text())
+    manifest = json.loads((Path(args.out) / datagen.MANIFEST_FILE).read_text())
     n_datasets = sum(
         1 for e in manifest["equations"] for d in e["datasets"] if d["status"] == "ok"
     )

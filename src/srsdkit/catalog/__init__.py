@@ -252,6 +252,21 @@ def load_builtin(problem_id: str) -> ProblemSpec:
     raise CatalogError(f"unknown problem id {problem_id!r}")
 
 
+def load_specs(catalog_files, set_name: str = "all") -> list[ProblemSpec]:
+    """The specs of set ``set_name`` (or ``"all"``) from the catalog JSON
+    ``catalog_files``, or from the built-in catalog when none is given."""
+    if catalog_files:
+        specs = []
+        for path in catalog_files:
+            specs.extend(load_file(path))
+        if set_name != "all":
+            specs = [s for s in specs if s.set_name == set_name]
+        if not specs:
+            raise CatalogError(f"no problems with set {set_name!r} in {catalog_files}")
+        return specs
+    return builtin_problems(None if set_name == "all" else set_name)
+
+
 # ---------------------------------------------------------------------------
 # Complexity
 # ---------------------------------------------------------------------------

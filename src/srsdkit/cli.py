@@ -9,9 +9,13 @@ Subcommands:
   leakcheck   skeleton + sampling-range leakage between two data roots
   discover    run the GP baseline over a data directory
 
-All reports are JSON (stdout by default, ``--out`` for files) with sorted
-keys and id-sorted problem lists, so identical flags and seed give byte
-identical output. Exit codes: 0 success, 1 usage error, 2 data error.
+Each pipeline command is its flag checks, then one library call, then the
+JSON the call returns, printed: ``datagen.generate``, ``synthgen.synth`` and
+``gp.discover`` write a run directory and return its manifest;
+``evalkit.eval_report`` and ``synthgen.leakcheck_report`` return a report.
+All JSON is ``datagen.json_text`` (stdout by default, ``--out`` for files),
+with id-sorted problem lists, so identical flags and seed give byte identical
+output. Exit codes: 0 success, 1 usage error, 2 data error.
 The ``SRSD_SEED`` environment variable supplies the master seed when
 ``--seed`` is omitted.
 """
@@ -19,24 +23,15 @@ The ``SRSD_SEED`` environment variable supplies the master seed when
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import catalog as cat
 from . import datagen, evalkit, gp, synthgen
-from .expr import (
-    CanonicalizationError,
-    DecodeError,
-    ParseError,
-    canonicalize,
-    expression_to_prefix,
-)
+from .expr import CanonicalizationError, DecodeError, ParseError
 from .treedist import distance_result
 
 
@@ -55,39 +50,11 @@ def _master_seed(value) -> int:
     return int(os.environ.get("SRSD_SEED", "0"))
 
 
-def _emit(payload: dict, out: str | Path | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit(payload: dict, out: str | Path | None = None) -> None:
+    text = datagen.json_text(payload)
     if out:
         Path(out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
-
-
-def _emit_manifest(manifest: dict, out_root: Path) -> None:
-    """Write ``manifest.json`` under ``out_root`` and echo it to stdout."""
-    out_root.mkdir(parents=True, exist_ok=True)
-    _emit(manifest, out_root / "manifest.json")
-
-
-def _map_workers(func, work: list, workers: int) -> list:
-    """``func`` over ``work`` in order; in a process pool when ``workers`` > 1."""
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # one-process runs skip its import
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(func, work))
-    return [func(w) for w in work]
-
-
-def _load_specs(catalog_files: list[str], set_name: str) -> list[cat.ProblemSpec]:
-    if catalog_files:
-        specs = []
-        for path in catalog_files:
-            specs.extend(cat.load_file(path))
-        if set_name != "all":
-            specs = [s for s in specs if s.set_name == set_name]
-        if not specs:
-            raise cat.CatalogError(f"no problems with set {set_name!r} in {catalog_files}")
-        return specs
-    return cat.builtin_problems(None if set_name == "all" else set_name)
 
 
 def _ratios(text: str) -> tuple[float, float, float]:
@@ -118,39 +85,20 @@ def _check_rows(rows: int, ratios) -> None:
 # generate
 # ---------------------------------------------------------------------------
 
-def _generate_one(args):
-    spec, out_root, rows, seed, noise, ratios, noise_mode = args
-    return datagen.write_problem_dir(
-        spec, out_root, rows=rows, seed=seed, noise_level=noise,
-        ratios=ratios, noise_mode=noise_mode,
-    )
-
-
 def cmd_generate(args) -> int:
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
-    if not 0.0 <= args.noise < math.inf:
-        raise UsageError(f"--noise must be finite and >= 0, got {args.noise}")
+    try:
+        datagen.check_noise(args.noise, args.noise_mode, name="--noise")
+    except datagen.DataError as err:
+        raise UsageError(str(err)) from None
     ratios = _ratios(args.split)
     _check_rows(args.rows, ratios)
-    seed = _master_seed(args.seed)
-    specs = _load_specs(args.catalog, args.set)
-    work = [(s, args.out, args.rows, seed, args.noise, ratios, args.noise_mode) for s in specs]
-    entries = _map_workers(_generate_one, work, args.workers)
-    manifest = {
-        "command": "generate",
-        "config": {
-            "set": args.set,
-            "rows": args.rows,
-            "master_seed": seed,
-            "noise_level": args.noise,
-            "noise_mode": args.noise_mode,
-            "split_ratios": list(ratios),
-            "catalog_files": args.catalog,
-        },
-        "problems": sorted(entries, key=lambda e: e["id"]),
-    }
-    _emit_manifest(manifest, Path(args.out))
+    _emit(datagen.generate(
+        args.out, set_name=args.set, catalog_files=args.catalog, rows=args.rows,
+        seed=_master_seed(args.seed), noise_level=args.noise, noise_mode=args.noise_mode,
+        ratios=ratios, workers=args.workers,
+    ))
     return 0
 
 
@@ -177,6 +125,8 @@ def cmd_ned(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
+    if not math.isfinite(args.tau):
+        raise UsageError(f"--tau must be finite, got {args.tau}")
     _emit(evalkit.eval_report(args.pred_dir, args.data_dir, tau=args.tau), args.out)
     return 0
 
@@ -186,8 +136,7 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_complexity(args) -> int:
-    specs = _load_specs(args.catalog, args.set)
-    rows = cat.emit_scatter(specs)
+    rows = cat.emit_scatter(cat.load_specs(args.catalog, args.set))
     if args.out:
         lines = ["id,op_count,domain_range,set"]
         for row in rows:
@@ -195,7 +144,7 @@ def cmd_complexity(args) -> int:
             rng_text = "" if rng is None else repr(rng)
             lines.append(f"{row['id']},{row['op_count']},{rng_text},{row['set']}")
         Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _emit({"rows": rows}, None)
+    _emit({"rows": rows})
     return 0
 
 
@@ -219,59 +168,11 @@ def cmd_synth(args) -> int:
     if not 0.0 <= args.alpha < math.inf:
         raise UsageError(f"--alpha must be finite and >= 0, got {args.alpha}")
     _check_rows(args.rows, datagen.DEFAULT_RATIOS)
-    seed = _master_seed(args.seed)
-    specs = _load_specs(args.catalog, "all")
-    model = synthgen.train_bigram([s.skeleton for s in specs], alpha=args.alpha)
-    out_root = Path(args.out)
-    eq_dir = out_root / "equations"
-    eq_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    copy_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
-    for i in range(args.n):
-        expr = synthgen.sample_equation(
-            model, args.max_tokens, np.random.SeedSequence([seed, i])
-        )
-        eq_name = f"eq-{i:05d}.txt"
-        (eq_dir / eq_name).write_text(
-            " ".join(expression_to_prefix(expr)) + "\n", encoding="utf-8"
-        )
-        copies = int(copy_rng.integers(1, args.copies_max + 1))
-        datasets = []
-        # Each copy's spec is made from the one before, so the copies share
-        # one nested tree and canonicalize it once.
-        spec = expr
-        for copy in range(copies):
-            pid = f"synth-{i:05d}-{copy:02d}"
-            spec = synthgen.assign_ranges(
-                spec,
-                np.random.SeedSequence([seed, i, copy]),
-                k_lo=args.k_lo,
-                k_hi=args.k_hi,
-                problem_id=pid,
-            )
-            try:
-                datagen.write_problem_dir(spec, out_root, rows=args.rows, seed=seed)
-            except datagen.SamplingInfeasibleError:
-                datasets.append({"dir": pid, "k": None, "status": "infeasible"})
-                continue
-            ks = {v.name: synthgen.range_exponent(v) for v in spec.sampled_variables}
-            datasets.append({"dir": pid, "k": ks, "status": "ok"})
-        entries.append({"equation_file": f"equations/{eq_name}", "datasets": datasets})
-    manifest = {
-        "command": "synth",
-        "config": {
-            "n_equations": args.n,
-            "master_seed": seed,
-            "max_tokens": args.max_tokens,
-            "rows": args.rows,
-            "copies_max": args.copies_max,
-            "alpha": args.alpha,
-            "k_lo": args.k_lo,
-            "k_hi": args.k_hi,
-        },
-        "equations": entries,
-    }
-    _emit_manifest(manifest, out_root)
+    _emit(synthgen.synth(
+        args.out, args.n, seed=_master_seed(args.seed), catalog_files=args.catalog,
+        max_tokens=args.max_tokens, rows=args.rows, copies_max=args.copies_max,
+        alpha=args.alpha, k_lo=args.k_lo, k_hi=args.k_hi,
+    ))
     return 0
 
 
@@ -312,64 +213,14 @@ def _load_gp_config(path: str | None, seed: int) -> gp.GPConfig:
         raise UsageError(f"invalid GP config: {err}") from None
 
 
-def _discover_one(args):
-    pdir_text, base_config, n_seeds = args
-    pdir = Path(pdir_text)
-    pid = pdir.name
-    train = datagen.read(pdir / datagen.SPLIT_FILES["train"])
-    val = datagen.read(pdir / datagen.SPLIT_FILES["val"])
-    candidates = []
-    for offset in range(n_seeds):
-        config = dataclasses.replace(base_config, seed=base_config.seed + offset)
-        candidates.extend(gp.evolve(train, config))
-    try:
-        best = evalkit.select_best(candidates, val)
-    except evalkit.NoViableCandidateError:
-        return {"id": pid, "expression": None, "selection_score": None}
-    best_canonical = canonicalize(best)
-    # The manifest reports the canonical tree's score, which can differ in the
-    # last bits from select_best's score of the raw tree.
-    score = evalkit.relative_error_score(best_canonical, val.X, val.y)
-    return {
-        "id": pid,
-        "expression": " ".join(expression_to_prefix(best_canonical)),
-        "selection_score": score if np.isfinite(score) else None,
-    }
-
-
 def cmd_discover(args) -> int:
     if args.seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     config = _load_gp_config(args.gp_config, _master_seed(args.seed))
-    data_root = Path(args.data_dir)
-    dirs = datagen.problem_dirs(data_root)
-    if args.problems:
-        wanted = set(args.problems)
-        dirs = [d for d in dirs if d.name in wanted]
-        missing = wanted - {d.name for d in dirs}
-        if missing:
-            raise datagen.DataError(f"problems not found in {data_root}: {sorted(missing)}")
-    out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
-    work = [(str(d), config, args.seeds) for d in dirs]
-    results = _map_workers(_discover_one, work, args.workers)
-    for entry in results:
-        if entry["expression"] is not None:
-            (out_root / f"{entry['id']}.txt").write_text(
-                entry["expression"] + "\n", encoding="utf-8"
-            )
-    manifest = {
-        "command": "discover",
-        "config": {
-            "seeds": args.seeds,
-            "base_seed": config.seed,
-            "gp": dataclasses.asdict(config),
-        },
-        "problems": sorted(results, key=lambda e: e["id"]),
-    }
-    _emit_manifest(manifest, out_root)
+    _emit(gp.discover(args.data_dir, args.out, config, seeds=args.seeds,
+                      problems=args.problems, workers=args.workers))
     return 0
 
 
@@ -387,7 +238,7 @@ def build_parser() -> _Parser:
     g.add_argument("--seed", type=int, default=None)
     g.add_argument("--noise", type=float, default=0.0,
                    help="noise level (benchmark grid: 0, 1e-3, 1e-2, 1e-1)")
-    g.add_argument("--noise-mode", choices=("mean", "rms"), default="mean")
+    g.add_argument("--noise-mode", choices=datagen.NOISE_MODES, default="mean")
     g.add_argument("--split", default="0.8,0.1,0.1")
     g.add_argument("--workers", type=int, default=1)
     g.add_argument("--out", required=True)

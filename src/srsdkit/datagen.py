@@ -49,19 +49,22 @@ A problem directory holds the ``SPLIT_FILES`` train.txt / val.txt / test.txt
 plus ``TRUE_EQ_FILE`` true_eq.txt (line 1: the true skeleton in preorder
 tokens; line 2: its constant values in preorder, one per ``C``, possibly
 empty). Other modules use these names; :func:`problem_dirs` finds the problems.
+:func:`generate` is ``srsdkit generate``: problem directories plus a ``MANIFEST_FILE``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .catalog import ProblemSpec
+from .catalog import ProblemSpec, load_specs
 from .expr import (
     DecodeError,
     Expression,
@@ -81,6 +84,8 @@ DEFAULT_ROWS = 10_000
 DEFAULT_RATIOS = (0.8, 0.1, 0.1)
 SPLIT_FILES = {"train": "train.txt", "val": "val.txt", "test": "test.txt"}
 TRUE_EQ_FILE = "true_eq.txt"
+MANIFEST_FILE = "manifest.json"
+NOISE_MODES = ("mean", "rms")
 
 # Rejection sampling gives up when acceptance stays below 1% after this many
 # multiples of the requested row count.
@@ -115,6 +120,29 @@ class Dataset:
     @property
     def y(self) -> np.ndarray:
         return self.values[:, -1]
+
+
+def json_text(payload) -> str:
+    """The text of every JSON report and manifest: sorted keys, two-space
+    indent, a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_manifest(manifest: dict, root) -> dict:
+    """Write ``manifest`` as :func:`json_text` to ``MANIFEST_FILE`` under ``root``,
+    made if missing; returns it."""
+    Path(root).mkdir(parents=True, exist_ok=True)
+    (Path(root) / MANIFEST_FILE).write_text(json_text(manifest), encoding="utf-8")
+    return manifest
+
+
+def map_workers(func, work: list, workers: int) -> list:
+    """``func`` over ``work`` in order; in a process pool when ``workers`` > 1."""
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # one-process runs skip its import
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(func, work))
+    return [func(w) for w in work]
 
 
 def derive_seed(master_seed: int, problem_id: str) -> np.random.SeedSequence:
@@ -230,26 +258,33 @@ def split(ds: Dataset, ratios=DEFAULT_RATIOS) -> tuple[Dataset, Dataset, Dataset
     return tuple(Dataset(ds.values[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
 
+def check_noise(level: float, mode: str, name: str = "noise level") -> None:
+    """Raise ``DataError`` naming (by ``name``) a noise level that is not
+    finite and >= 0, or for a mode not in ``NOISE_MODES``."""
+    if not 0 <= level < math.inf:
+        raise DataError(f"{name} must be finite and >= 0, got {level}")
+    if mode not in NOISE_MODES:
+        raise DataError(f"unknown noise mode {mode!r}")
+
+
 def inject_noise(ds: Dataset, gamma: float, seed, mode: str = "mean") -> Dataset:
     """Add Gaussian noise to the target column.
 
     The noise scale is ``gamma * sqrt(|mean(y)|)``. Targets are signed, so
     the mean is run through ``abs`` before the square root; ``mode="rms"``
     switches the inner statistic to the mean square. ``gamma=0`` returns
-    bit-identical targets. A noise scale or a noisy target that is not
-    finite raises ``DataError``, without an overflow warning.
+    bit-identical targets. Settings :func:`check_noise` refuses, and a noise
+    scale or a noisy target that is not finite, raise ``DataError``, without
+    an overflow warning.
     """
-    if not 0 <= gamma < math.inf:
-        raise DataError(f"noise level must be finite and >= 0, got {gamma}")
+    check_noise(gamma, mode)
     values = ds.values.copy()
     if gamma > 0:
         with np.errstate(over="ignore"):
             if mode == "mean":
                 scale = gamma * np.sqrt(np.abs(values[:, -1].mean()))
-            elif mode == "rms":
-                scale = gamma * np.sqrt(np.mean(values[:, -1] ** 2))
             else:
-                raise DataError(f"unknown noise mode {mode!r}")
+                scale = gamma * np.sqrt(np.mean(values[:, -1] ** 2))
         if not np.isfinite(scale):
             raise DataError(f"noise level {gamma} gives a non-finite noise scale")
         rng = np.random.default_rng(seed)
@@ -379,10 +414,13 @@ def write_problem_dir(
     ratios=DEFAULT_RATIOS,
     noise_mode: str = "mean",
 ) -> dict:
-    """Generate and write one problem directory; returns a manifest entry."""
-    ds = sample(spec, rows, derive_seed(seed, spec.id))
+    """Generate and write one problem directory; returns a manifest entry.
+    Noise settings :func:`check_noise` refuses raise before anything is drawn."""
+    check_noise(noise_level, noise_mode)
+    problem_seed = derive_seed(seed, spec.id)
+    ds = sample(spec, rows, problem_seed)
     if noise_level > 0:
-        noise_seed = np.random.SeedSequence([seed, zlib.crc32(spec.id.encode("utf-8")), 0x5E])
+        noise_seed = np.random.SeedSequence([*problem_seed.entropy, 0x5E])
         try:
             ds = inject_noise(ds, noise_level, noise_seed, mode=noise_mode)
         except DataError as err:
@@ -409,3 +447,19 @@ def problem_dirs(root) -> list[Path]:
     if not dirs:
         raise DataError(f"{root}: no problem directories (missing {TRUE_EQ_FILE} files)")
     return dirs
+
+
+def generate(out, set_name: str = "all", catalog_files=(), rows: int = DEFAULT_ROWS, seed: int = 0,
+             noise_level: float = 0.0, noise_mode: str = "mean", ratios=DEFAULT_RATIOS,
+             workers: int = 1) -> dict:
+    """What ``srsdkit generate`` does: one :func:`write_problem_dir` under
+    ``out`` per spec of :func:`.catalog.load_specs`, in ``workers``
+    processes, then the ``MANIFEST_FILE`` it returns."""
+    specs = load_specs(catalog_files, set_name)
+    write_one = partial(write_problem_dir, root=out, rows=rows, seed=seed, noise_level=noise_level,
+                        ratios=ratios, noise_mode=noise_mode)
+    entries = sorted(map_workers(write_one, specs, workers), key=lambda e: e["id"])
+    config = {"set": set_name, "rows": rows, "master_seed": seed, "noise_level": noise_level,
+              "noise_mode": noise_mode, "split_ratios": list(ratios),
+              "catalog_files": list(catalog_files)}
+    return write_manifest({"command": "generate", "config": config, "problems": entries}, out)

@@ -14,7 +14,6 @@ the canonicalizer's rewrite rules; an undecided case reports False).
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 from pathlib import Path
@@ -36,11 +35,11 @@ from .expr import (
     prefix_to_expression,
     skeletonize,
 )
+from .expr.evaluate import _HELD_BY_OWNER  # the owner of FitnessRows holds np.errstate
 from .treedist import distance_result
 
 TINY_TARGET = 1e-300  # rows with |y| below this are skipped by Eq-style relative error
 DEFAULT_TAU = 0.999
-_HELD_BY_OWNER = contextlib.nullcontext()  # the owner of FitnessRows holds np.errstate
 
 
 class ZeroVarianceError(ValueError):
@@ -212,7 +211,7 @@ def _set_names_from_manifest(root: Path) -> dict[str, str]:
     """Problem id → set name, from the ``problems`` list of a ``generate``
     manifest; a manifest without that key (``synth`` writes ``equations``)
     names no sets."""
-    manifest = root / "manifest.json"
+    manifest = root / datagen.MANIFEST_FILE
     if not manifest.is_file():
         return {}
     payload = json.loads(datagen.read_text(manifest))
@@ -223,10 +222,15 @@ def _set_names_from_manifest(root: Path) -> dict[str, str]:
             if isinstance(e.get("id"), str) and isinstance(e.get("set"), str)}
 
 
+def prediction_file(pred_dir, problem_id: str) -> Path:
+    """The file of preorder tokens that a prediction directory holds for a problem."""
+    return Path(pred_dir) / f"{problem_id}.txt"
+
+
 def _load_prediction(pred_dir: Path, problem_id: str) -> Expression | None:
-    """``<id>.txt`` of preorder tokens, else the truth of a problem directory
+    """The :func:`prediction_file`, else the truth of a problem directory
     ``<id>``, or ``None``."""
-    flat = pred_dir / f"{problem_id}.txt"
+    flat = prediction_file(pred_dir, problem_id)
     if flat.is_file():
         try:
             return prefix_to_expression(datagen.read_expression_line(flat).split())

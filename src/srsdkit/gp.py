@@ -34,7 +34,7 @@ at most ``expr.evaluate.MEMO_BYTES`` (512 KB, 40 arrays at 1,600 rows). The
 memo's arrays are read-only, and a memo hit counts for the fault mask as a
 computed result does, so every score is the one a fresh evaluation gives.
 ``evolve`` holds one ``np.errstate`` per generation for all of its fitness
-calls, which then enter none of their own.
+calls, which then enter none of their own. :func:`discover` is ``srsdkit discover``.
 """
 
 from __future__ import annotations
@@ -42,13 +42,17 @@ from __future__ import annotations
 import math
 import numbers
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 
+from . import datagen, evalkit
 from .datagen import Dataset
 from .evalkit import FitnessRows, relative_error_score
-from .expr import OPERATORS, Expression, from_program, operator_token, subtree_end
+from .expr import (OPERATORS, Expression, canonicalize, expression_to_prefix, from_program,
+                   operator_token, subtree_end)
 
 DEFAULT_OPERATORS = ("add", "sub", "mul", "div", "sin", "cos", "exp", "log")
 SCORE_TABLE_LIMIT = 1 << 16
@@ -316,3 +320,59 @@ def evolve(train: Dataset, config: GPConfig) -> list[Expression]:
 
     ranked = sorted(range(len(programs)), key=lambda i: (fitnesses[i], i))
     return [from_program(programs[i]) for i in ranked[: config.top_k]]
+
+
+def _discover_one(pdir: Path, base_config: GPConfig, n_seeds: int) -> dict:
+    """The manifest entry of one problem directory: the canonical tree of the
+    best of ``n_seeds`` runs' top-k on its validation rows, or ``None``."""
+    pid = pdir.name
+    train = datagen.read(pdir / datagen.SPLIT_FILES["train"])
+    val = datagen.read(pdir / datagen.SPLIT_FILES["val"])
+    candidates = []
+    for offset in range(n_seeds):
+        config = replace(base_config, seed=base_config.seed + offset)
+        candidates.extend(evolve(train, config))
+    try:
+        best = evalkit.select_best(candidates, val)
+    except evalkit.NoViableCandidateError:
+        return {"id": pid, "expression": None, "selection_score": None}
+    best_canonical = canonicalize(best)
+    # The manifest reports the canonical tree's score, which can differ in the
+    # last bits from select_best's score of the raw tree.
+    score = relative_error_score(best_canonical, val.X, val.y)
+    return {
+        "id": pid,
+        "expression": " ".join(expression_to_prefix(best_canonical)),
+        "selection_score": score if np.isfinite(score) else None,
+    }
+
+
+def discover(data_dir, out, config: GPConfig, seeds: int = 5, problems=None,
+             workers: int = 1) -> dict:
+    """What ``srsdkit discover`` does: for each problem directory under
+    ``data_dir`` (only those named in ``problems``, when given), runs with
+    seeds ``config.seed`` onwards in ``workers`` processes, each selected
+    model written to its :func:`.evalkit.prediction_file` under ``out``;
+    then the ``MANIFEST_FILE`` it returns."""
+    data_root = Path(data_dir)
+    dirs = datagen.problem_dirs(data_root)
+    if problems:
+        wanted = set(problems)
+        dirs = [d for d in dirs if d.name in wanted]
+        missing = wanted - {d.name for d in dirs}
+        if missing:
+            raise datagen.DataError(f"problems not found in {data_root}: {sorted(missing)}")
+    out_root = Path(out)
+    out_root.mkdir(parents=True, exist_ok=True)
+    results = datagen.map_workers(partial(_discover_one, base_config=config, n_seeds=seeds),
+                                  dirs, workers)
+    for entry in results:
+        if entry["expression"] is not None:
+            evalkit.prediction_file(out_root, entry["id"]).write_text(
+                entry["expression"] + "\n", encoding="utf-8"
+            )
+    return datagen.write_manifest({
+        "command": "discover",
+        "config": {"seeds": seeds, "base_seed": config.seed, "gp": asdict(config)},
+        "problems": sorted(results, key=lambda e: e["id"]),
+    }, out_root)

@@ -11,6 +11,7 @@ Each generated equation receives sampling ranges by drawing an integer k per
 variable independently and sampling that variable log-uniformly from
 [10^(k-1), 10^(k+1)]. The resulting ``ProblemSpec`` carries the sampled
 tree, with each n-ary ``add``/``mul`` nested to the left; it has no formula.
+:func:`synth` writes a whole corpus, as ``srsdkit synth`` does.
 
 The leakage checker compares a synthetic corpus against benchmark problems.
 Skeletons match when their token tuples are equal (NED = 0), so the tuples
@@ -39,12 +40,13 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen
-from .catalog import ProblemSpec, VariableSpec, loguniform
+from .catalog import ProblemSpec, VariableSpec, load_specs, loguniform
 from .expr import (
     Expression,
     canonicalize,
     const,
     decode_preorder,
+    expression_to_prefix,
     from_program,
     op_node,
     skeletonize,
@@ -226,6 +228,47 @@ def range_exponent(spec_variable: VariableSpec) -> int:
     """Recover the k that produced a synthetic variable's range."""
     d = spec_variable.dist
     return round((math.log10(d.lo) + math.log10(d.hi)) / 2.0)
+
+
+def synth(out, n: int, seed: int = 0, catalog_files=(), max_tokens: int = 32, rows: int = 1000,
+          copies_max: int = 10, alpha: float = 1.0, k_lo: int = -8, k_hi: int = 8) -> dict:
+    """What ``srsdkit synth`` does: ``n`` equations sampled from a bigram
+    model of the catalog's skeletons, each written to ``equations/`` under
+    ``out`` with 1 to ``copies_max`` problem directories of its own ranges,
+    then the ``MANIFEST_FILE`` it returns. Equation ``i`` draws from the
+    seed ``[seed, i]``, its copy ``c`` from ``[seed, i, c]``, and the copy
+    counts from ``[seed, 0xC0]``; an infeasible copy is written as none."""
+    model = train_bigram([s.skeleton for s in load_specs(catalog_files)], alpha=alpha)
+    out_root = Path(out)
+    eq_dir = out_root / "equations"
+    eq_dir.mkdir(parents=True, exist_ok=True)
+    entries = []
+    copy_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
+    for i in range(n):
+        expr = sample_equation(model, max_tokens, np.random.SeedSequence([seed, i]))
+        eq_name = f"eq-{i:05d}.txt"
+        (eq_dir / eq_name).write_text(" ".join(expression_to_prefix(expr)) + "\n", encoding="utf-8")
+        copies = int(copy_rng.integers(1, copies_max + 1))
+        datasets = []
+        # Each copy's spec is made from the one before, so the copies share
+        # one nested tree and canonicalize it once.
+        spec = expr
+        for c in range(copies):
+            pid = f"synth-{i:05d}-{c:02d}"
+            spec = assign_ranges(spec, np.random.SeedSequence([seed, i, c]),
+                                 k_lo=k_lo, k_hi=k_hi, problem_id=pid)
+            try:
+                datagen.write_problem_dir(spec, out_root, rows=rows, seed=seed)
+            except datagen.SamplingInfeasibleError:
+                datasets.append({"dir": pid, "k": None, "status": "infeasible"})
+                continue
+            ks = {v.name: range_exponent(v) for v in spec.sampled_variables}
+            datasets.append({"dir": pid, "k": ks, "status": "ok"})
+        entries.append({"equation_file": f"equations/{eq_name}", "datasets": datasets})
+    config = {"n_equations": n, "master_seed": seed, "max_tokens": max_tokens, "rows": rows,
+              "copies_max": copies_max, "alpha": alpha, "k_lo": k_lo, "k_hi": k_hi}
+    return datagen.write_manifest({"command": "synth", "config": config, "equations": entries},
+                                  out_root)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
-"""The library calls behind ``eval`` and ``leakcheck``: each returns exactly
-the report the command prints, and names the problem of a bad prediction."""
+"""The library call behind each pipeline command: each returns exactly the
+JSON the command prints, writes the same files, and names the problem of a
+bad prediction."""
 
 import json
+import math
 import shutil
 
 import pytest
 
-from srsdkit import datagen, evalkit, synthgen
+from srsdkit import datagen, evalkit, gp, synthgen
+from srsdkit.catalog import load_builtin
 from srsdkit.cli import main
 from srsdkit.expr import expression_to_prefix
+
+_SMALL_GP = gp.GPConfig(population_size=20, generations=2, seed=4)
 
 
 def _printed(report: dict) -> str:
@@ -21,6 +26,11 @@ def _run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _tree(root) -> dict[str, bytes]:
+    """Every file under ``root``, by its path relative to ``root``."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +112,72 @@ def test_problem_dirs_are_the_directories_with_a_true_equation(easy100, tmp_path
     (tmp_path / "no-truth").mkdir()
     with pytest.raises(datagen.DataError, match="no problem directories"):
         datagen.problem_dirs(tmp_path)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_generate_is_what_generate_prints(tmp_path, capsys, workers):
+    cli_root, lib_root = tmp_path / "cli", tmp_path / "lib"
+    code, out, _ = _run(capsys, "generate", "--set", "easy", "--rows", "60", "--seed", "5",
+                        "--noise", "0.01", "--split", "0.5,0.25,0.25",
+                        "--workers", str(workers), "--out", str(cli_root))
+    assert code == 0
+    manifest = datagen.generate(lib_root, set_name="easy", rows=60, seed=5, noise_level=0.01,
+                                ratios=(0.5, 0.25, 0.25), workers=workers)
+    assert _printed(manifest) == out
+    assert _tree(lib_root) == _tree(cli_root)
+    assert (lib_root / datagen.MANIFEST_FILE).read_text() == out
+
+
+def test_synth_is_what_synth_prints(tmp_path, capsys):
+    code, out, _ = _run(capsys, "synth", "--n", "4", "--seed", "3", "--rows", "50",
+                        "--copies-max", "3", "--k-lo", "-2", "--k-hi", "2",
+                        "--out", str(tmp_path / "cli"))
+    assert code == 0
+    manifest = synthgen.synth(tmp_path / "lib", 4, seed=3, rows=50, copies_max=3, k_lo=-2, k_hi=2)
+    assert _printed(manifest) == out
+    assert _tree(tmp_path / "lib") == _tree(tmp_path / "cli")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_discover_is_what_discover_prints(easy100, tmp_path, capsys, workers):
+    (tmp_path / "gp.json").write_text('{"population_size": 20, "generations": 2}')
+    code, out, _ = _run(capsys, "discover", "--data-dir", str(easy100), "--seeds", "2",
+                        "--seed", "4", "--gp-config", str(tmp_path / "gp.json"),
+                        "--problems", "I.12.1", "I.14.3", "II.3.24",
+                        "--workers", str(workers), "--out", str(tmp_path / "cli"))
+    assert code == 0
+    manifest = gp.discover(easy100, tmp_path / "lib", _SMALL_GP, seeds=2,
+                           problems=["I.12.1", "I.14.3", "II.3.24"], workers=workers)
+    assert _printed(manifest) == out
+    assert _tree(tmp_path / "lib") == _tree(tmp_path / "cli")
+
+
+def test_eval_report_finds_every_prediction_discover_writes(easy100, tmp_path):
+    manifest = gp.discover(easy100, tmp_path, _SMALL_GP, seeds=1)
+    found = sorted(e["id"] for e in manifest["problems"] if e["expression"] is not None)
+    assert len(found) >= 25
+    report = evalkit.eval_report(tmp_path, easy100)
+    assert [row["id"] for row in report["problems"]] == found
+    assert len(report["problems"]) + len(report["skipped"]) == 30
+    assert (tmp_path / datagen.MANIFEST_FILE).is_file()
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+def test_eval_with_a_non_finite_tau_is_usage_error(easy100, capsys, tau):
+    code, out, err = _run(capsys, "eval", "--pred-dir", str(easy100), "--data-dir", str(easy100),
+                          f"--tau={tau}")
+    assert (code, out) == (1, "")
+    assert err == f"usage error: --tau must be finite, got {float(tau)}\n"
+
+
+@pytest.mark.parametrize("level, mode, message", [
+    (math.nan, "mean", "noise level must be finite and >= 0, got nan"),
+    (-1.0, "mean", "noise level must be finite and >= 0, got -1.0"),
+    (math.inf, "rms", "noise level must be finite and >= 0, got inf"),
+    (0.0, "bogus", "unknown noise mode 'bogus'"),
+])
+def test_write_problem_dir_refuses_bad_noise_settings(tmp_path, level, mode, message):
+    with pytest.raises(datagen.DataError, match=f"^{message}$"):
+        datagen.write_problem_dir(load_builtin("I.12.1"), tmp_path, rows=10,
+                                  noise_level=level, noise_mode=mode)
+    assert list(tmp_path.iterdir()) == []
