@@ -8,18 +8,15 @@ Example:
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from srsdkit import datagen
-from srsdkit.cli import main as cli
+from srsdkit import datagen, synthgen
 
 
-def run(argv):
-    code = cli(argv)
-    if code != 0:
-        sys.exit(code)
+def show(payload: dict) -> None:
+    """Print ``payload`` as the ``srsdkit`` command of the same call does."""
+    sys.stdout.write(datagen.json_text(payload))
 
 
 def main():
@@ -33,22 +30,23 @@ def main():
                     help="data directory to leak-check the corpus against")
     args = ap.parse_args()
 
-    run(["synth", "--n", str(args.n), "--seed", str(args.seed),
-         "--rows", str(args.rows), "--max-tokens", str(args.max_tokens),
-         "--out", args.out])
-    manifest = json.loads((Path(args.out) / datagen.MANIFEST_FILE).read_text())
+    manifest = synthgen.synth(args.out, args.n, seed=args.seed, rows=args.rows,
+                              max_tokens=args.max_tokens)
+    show(manifest)
     n_datasets = sum(
         1 for e in manifest["equations"] for d in e["datasets"] if d["status"] == "ok"
     )
     print(f"equations: {len(manifest['equations'])}, datasets: {n_datasets}")
 
     if args.benchmark:
-        report = Path(args.out) / "leakage.json"
-        run(["leakcheck", "--corpus", args.out, "--catalog", args.benchmark,
-             "--out", str(report)])
-        payload = json.loads(report.read_text())
+        payload = synthgen.leakcheck_report(args.out, args.benchmark)
+        (Path(args.out) / "leakage.json").write_text(datagen.json_text(payload), encoding="utf-8")
+        show(payload)
         print(f"worst-case mean IoU vs benchmark: {payload['mean_iou']:.5f}")
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except datagen.ArgumentError as err:  # a refused flag value, named by its parameter
+        sys.exit(f"usage error: {err}")

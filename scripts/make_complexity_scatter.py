@@ -8,13 +8,10 @@ Example:
 """
 
 import argparse
-import contextlib
-import io
-import json
 import statistics
+from pathlib import Path
 
-from srsdkit.catalog import BUILTIN_SETS
-from srsdkit.cli import main as cli
+from srsdkit.catalog import BUILTIN_SETS, builtin_problems, emit_scatter, scatter_csv
 
 
 def main():
@@ -22,13 +19,8 @@ def main():
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
 
-    # The command writes the CSV and prints the same rows as JSON.
-    report = io.StringIO()
-    with contextlib.redirect_stdout(report):
-        code = cli(["complexity", "--out", args.out])
-    if code != 0:
-        raise SystemExit(code)
-    rows = json.loads(report.getvalue())["rows"]
+    rows = emit_scatter(builtin_problems())
+    Path(args.out).write_text(scatter_csv(rows), encoding="utf-8")
 
     for set_name in BUILTIN_SETS:
         group = [r for r in rows if r["set"] == set_name]

@@ -8,17 +8,15 @@ Example:
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from srsdkit.cli import main as cli
+from srsdkit import datagen, evalkit, gp
 
 
-def run(argv):
-    code = cli(argv)
-    if code != 0:
-        sys.exit(code)
+def show(payload: dict) -> None:
+    """Print ``payload`` as the ``srsdkit`` command of the same call does."""
+    sys.stdout.write(datagen.json_text(payload))
 
 
 def main():
@@ -38,19 +36,14 @@ def main():
     preds = work / "preds"
     report_path = work / "report.json"
 
-    run(["generate", "--set", args.set, "--rows", str(args.rows),
-         "--seed", str(args.seed), "--noise", str(args.noise),
-         "--workers", str(args.workers), "--out", str(data)])
-    discover = ["discover", "--data-dir", str(data), "--seeds", str(args.seeds),
-                "--seed", str(args.seed), "--workers", str(args.workers),
-                "--out", str(preds)]
-    if args.gp_config:
-        discover += ["--gp-config", args.gp_config]
-    run(discover)
-    run(["eval", "--pred-dir", str(preds), "--data-dir", str(data),
-         "--out", str(report_path)])
+    show(datagen.generate(data, set_name=args.set, rows=args.rows, seed=args.seed,
+                          noise_level=args.noise, workers=args.workers))
+    config = gp.read_config(args.gp_config, args.seed)
+    show(gp.discover(data, preds, config, seeds=args.seeds, workers=args.workers))
+    payload = evalkit.eval_report(preds, data)
+    report_path.write_text(datagen.json_text(payload), encoding="utf-8")
+    show(payload)
 
-    payload = json.loads(report_path.read_text())
     print()
     print(f"{'set':<8} {'n':>4} {'accuracy':>9} {'solution':>9} {'mean NED':>9}")
     for name, s in payload["summary"].items():
@@ -62,4 +55,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except datagen.ArgumentError as err:  # a refused flag value, named by its parameter
+        sys.exit(f"usage error: {err}")

@@ -1,9 +1,12 @@
 """Benchmark toolkit for symbolic regression on physics-law datasets.
 
-Everything is built from pure functions over immutable values (expressions,
-skeletons, problem specs), so any object can be shared freely across
-threads; dataset generation derives one independent RNG stream per problem,
-so per-problem work parallelizes without changing a single output byte.
+Expressions, skeletons, distributions, variable specs, ``GPConfig`` and the
+distance and leakage results are immutable and may be shared across threads.
+``ProblemSpec``, ``Dataset`` and ``synthgen.BigramModel`` are mutable, and
+``expr.Memo`` and ``evalkit.FitnessRows`` are caches that each call given one
+updates: give each thread its own. Dataset generation derives one independent
+RNG stream per problem, so per-problem work parallelizes without changing a
+single output byte.
 """
 
 from .expr import (

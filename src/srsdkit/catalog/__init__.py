@@ -304,3 +304,15 @@ def emit_scatter(specs: list[ProblemSpec]) -> list[dict]:
         }
         for spec in specs
     ]
+
+
+def scatter_csv(rows: list[dict]) -> str:
+    """The text of the ``complexity --out`` CSV file of :func:`emit_scatter`'s
+    rows: a header line, then one line per row, an empty ``domain_range``
+    for None."""
+    lines = ["id,op_count,domain_range,set"]
+    for row in rows:
+        rng = row["domain_range"]
+        rng_text = "" if rng is None else repr(rng)
+        lines.append(f"{row['id']},{row['op_count']},{rng_text},{row['set']}")
+    return "\n".join(lines) + "\n"

@@ -9,13 +9,15 @@ Subcommands:
   leakcheck   skeleton + sampling-range leakage between two data roots
   discover    run the GP baseline over a data directory
 
-Each pipeline command is its flag checks, then one library call, then the
-JSON the call returns, printed: ``datagen.generate``, ``synthgen.synth`` and
+Each pipeline command is argparse, then one library call, then the JSON the
+call returns, printed: ``datagen.generate``, ``synthgen.synth`` and
 ``gp.discover`` write a run directory and return its manifest;
 ``evalkit.eval_report`` and ``synthgen.leakcheck_report`` return a report.
-All JSON is ``datagen.json_text`` (stdout by default, ``--out`` for files),
-with id-sorted problem lists, so identical flags and seed give byte identical
-output. Exit codes: 0 success, 1 usage error, 2 data error.
+The library checks every argument value: its ``ArgumentError`` is a usage
+error, printed with each parameter named by its flag (``--k-lo`` for
+``k_lo``). All JSON is ``datagen.json_text`` (stdout by default, ``--out``
+for files), with id-sorted problem lists, so identical flags and seed give
+byte identical output. Exit codes: 0 success, 1 usage error, 2 data error.
 The ``SRSD_SEED`` environment variable supplies the master seed when
 ``--seed`` is omitted.
 """
@@ -24,24 +26,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
 from . import catalog as cat
 from . import datagen, evalkit, gp, synthgen
+from .datagen import ArgumentError
 from .expr import CanonicalizationError, DecodeError, ParseError
 from .treedist import distance_result
 
 
-class UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; usage is 1
-        raise UsageError(message)
+        raise ArgumentError("{message}", message=message)
 
 
 def _master_seed(value) -> int:
@@ -57,56 +55,22 @@ def _emit(payload: dict, out: str | Path | None = None) -> None:
     sys.stdout.write(text)
 
 
-def _ratios(text: str) -> tuple[float, float, float]:
+def _ratios(text: str) -> tuple[float, ...]:
     try:
-        parts = tuple(float(p) for p in text.split(","))
+        return tuple(float(p) for p in text.split(","))
     except ValueError:
-        raise UsageError(f"cannot parse split ratios {text!r}") from None
-    if len(parts) != 3:
-        raise UsageError("expected three comma-separated split ratios")
-    if any(r <= 0 for r in parts) or abs(sum(parts) - 1.0) > 1e-9:
-        raise UsageError(f"split ratios must be positive and sum to 1, got {text!r}")
-    return parts
+        raise ArgumentError("cannot parse split ratios {text!r}", text=text) from None
 
 
-def _check_rows(rows: int, ratios) -> None:
-    """A usage error unless every split of ``rows`` rows gets a row: other
-    commands cannot read an empty split file."""
-    if rows < 1:
-        raise UsageError(f"--rows must be >= 1, got {rows}")
-    sizes = datagen.split_sizes(rows, ratios)
-    for name, size in zip(datagen.SPLIT_FILES, sizes):
-        if size == 0:
-            raise UsageError(f"--rows {rows} leaves the {name} split empty "
-                             f"(train/val/test rows {'/'.join(map(str, sizes))})")
-
-
-# ---------------------------------------------------------------------------
-# generate
-# ---------------------------------------------------------------------------
-
-def cmd_generate(args) -> int:
-    if args.workers < 1:
-        raise UsageError(f"--workers must be >= 1, got {args.workers}")
-    try:
-        datagen.check_noise(args.noise, args.noise_mode, name="--noise")
-    except datagen.DataError as err:
-        raise UsageError(str(err)) from None
-    ratios = _ratios(args.split)
-    _check_rows(args.rows, ratios)
+def cmd_generate(args) -> None:
     _emit(datagen.generate(
         args.out, set_name=args.set, catalog_files=args.catalog, rows=args.rows,
-        seed=_master_seed(args.seed), noise_level=args.noise, noise_mode=args.noise_mode,
-        ratios=ratios, workers=args.workers,
+        seed=_master_seed(args.seed), noise_level=args.noise_level, noise_mode=args.noise_mode,
+        ratios=_ratios(args.ratios), workers=args.workers,
     ))
-    return 0
 
 
-# ---------------------------------------------------------------------------
-# ned
-# ---------------------------------------------------------------------------
-
-def cmd_ned(args) -> int:
+def cmd_ned(args) -> None:
     result = distance_result(datagen.read_expression_line(args.pred).split(),
                              datagen.read_expression_line(args.truth).split())
     _emit(
@@ -117,111 +81,35 @@ def cmd_ned(args) -> int:
         },
         args.out,
     )
-    return 0
 
 
-# ---------------------------------------------------------------------------
-# eval
-# ---------------------------------------------------------------------------
-
-def cmd_eval(args) -> int:
-    if not math.isfinite(args.tau):
-        raise UsageError(f"--tau must be finite, got {args.tau}")
+def cmd_eval(args) -> None:
     _emit(evalkit.eval_report(args.pred_dir, args.data_dir, tau=args.tau), args.out)
-    return 0
 
 
-# ---------------------------------------------------------------------------
-# complexity
-# ---------------------------------------------------------------------------
-
-def cmd_complexity(args) -> int:
+def cmd_complexity(args) -> None:
     rows = cat.emit_scatter(cat.load_specs(args.catalog, args.set))
     if args.out:
-        lines = ["id,op_count,domain_range,set"]
-        for row in rows:
-            rng = row["domain_range"]
-            rng_text = "" if rng is None else repr(rng)
-            lines.append(f"{row['id']},{row['op_count']},{rng_text},{row['set']}")
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(args.out).write_text(cat.scatter_csv(rows), encoding="utf-8")
     _emit({"rows": rows})
-    return 0
 
 
-# ---------------------------------------------------------------------------
-# synth
-# ---------------------------------------------------------------------------
-
-def cmd_synth(args) -> int:
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
-    if args.max_tokens < 1:
-        raise UsageError(f"--max-tokens must be >= 1, got {args.max_tokens}")
-    if args.copies_max < 1:
-        raise UsageError(f"--copies-max must be >= 1, got {args.copies_max}")
-    try:
-        synthgen.check_range_exponents(args.k_lo, args.k_hi, names=("--k-lo", "--k-hi"))
-    except synthgen.SynthError as err:
-        raise UsageError(str(err)) from None
-    if args.k_lo > args.k_hi:
-        raise UsageError(f"--k-lo must be <= --k-hi, got {args.k_lo} > {args.k_hi}")
-    if not 0.0 <= args.alpha < math.inf:
-        raise UsageError(f"--alpha must be finite and >= 0, got {args.alpha}")
-    _check_rows(args.rows, datagen.DEFAULT_RATIOS)
+def cmd_synth(args) -> None:
     _emit(synthgen.synth(
         args.out, args.n, seed=_master_seed(args.seed), catalog_files=args.catalog,
         max_tokens=args.max_tokens, rows=args.rows, copies_max=args.copies_max,
         alpha=args.alpha, k_lo=args.k_lo, k_hi=args.k_hi,
     ))
-    return 0
 
 
-# ---------------------------------------------------------------------------
-# leakcheck
-# ---------------------------------------------------------------------------
-
-def cmd_leakcheck(args) -> int:
+def cmd_leakcheck(args) -> None:
     _emit(synthgen.leakcheck_report(args.corpus, args.catalog), args.out)
-    return 0
 
 
-# ---------------------------------------------------------------------------
-# discover
-# ---------------------------------------------------------------------------
-
-def _load_gp_config(path: str | None, seed: int) -> gp.GPConfig:
-    fields = {"seed": seed}
-    if path:
-        try:
-            payload = json.loads(datagen.read_text(path))
-        except json.JSONDecodeError as err:
-            raise datagen.DataError(f"{path}: not valid JSON: {err}") from None
-        if not isinstance(payload, dict):
-            raise datagen.DataError(f"{path}: not a JSON object")
-        if "seed" in payload:
-            raise UsageError(f"{path}: the GP seed is not a config key; pass --seed")
-        unknown = set(payload) - set(gp.GPConfig.__dataclass_fields__)
-        if unknown:
-            raise UsageError(f"unknown GP config keys: {sorted(unknown)}")
-        for key in ("const_range", "operators"):
-            if isinstance(payload.get(key), list):
-                payload[key] = tuple(payload[key])
-        fields.update(payload)
-    try:
-        return gp.GPConfig(**fields)
-    except ValueError as err:
-        raise UsageError(f"invalid GP config: {err}") from None
-
-
-def cmd_discover(args) -> int:
-    if args.seeds < 1:
-        raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
-    if args.workers < 1:
-        raise UsageError(f"--workers must be >= 1, got {args.workers}")
-    config = _load_gp_config(args.gp_config, _master_seed(args.seed))
+def cmd_discover(args) -> None:
+    config = gp.read_config(args.gp_config, _master_seed(args.seed))
     _emit(gp.discover(args.data_dir, args.out, config, seeds=args.seeds,
                       problems=args.problems, workers=args.workers))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +124,10 @@ def build_parser() -> _Parser:
     g.add_argument("--catalog", action="append", default=[], help="problem-spec JSON file(s)")
     g.add_argument("--rows", type=int, default=datagen.DEFAULT_ROWS)
     g.add_argument("--seed", type=int, default=None)
-    g.add_argument("--noise", type=float, default=0.0,
+    g.add_argument("--noise", dest="noise_level", type=float, default=0.0,
                    help="noise level (benchmark grid: 0, 1e-3, 1e-2, 1e-1)")
     g.add_argument("--noise-mode", choices=datagen.NOISE_MODES, default="mean")
-    g.add_argument("--split", default="0.8,0.1,0.1")
+    g.add_argument("--split", dest="ratios", default="0.8,0.1,0.1")
     g.add_argument("--workers", type=int, default=1)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
@@ -292,6 +180,9 @@ def build_parser() -> _Parser:
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_discover)
 
+    # The flag of each parameter, for the text of an ArgumentError.
+    parser.flags = {action.dest: action.option_strings[0]
+                    for command in sub.choices.values() for action in command._actions}
     return parser
 
 
@@ -312,9 +203,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
+        args.func(args)
+        return 0
+    except ArgumentError as err:
+        print(f"usage error: {err.naming(parser.flags)}", file=sys.stderr)
         return 1
     except _DATA_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)

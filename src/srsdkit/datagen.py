@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -97,6 +98,25 @@ class DataError(ValueError):
     """Malformed dataset file or invalid generation request."""
 
 
+class ArgumentError(DataError):
+    """An argument value that a library call refuses, before it reads or makes
+    a file. The template names each parameter as ``{parameter}`` and each
+    value as ``{key}`` of ``values``; ``str(err)`` reads a parameter as its
+    name, :meth:`naming` as ``names`` maps it (the CLI, to its flag)."""
+
+    def __init__(self, template: str, **values):
+        super().__init__(template)
+        self.values = values
+
+    def __str__(self) -> str:
+        return self.naming({})
+
+    def naming(self, names: dict[str, str]) -> str:
+        """The text, each parameter ``p`` read as ``names.get(p, p)``."""
+        fields = {f: names.get(f, f) for f in re.findall(r"\{(\w+)", self.args[0])}
+        return self.args[0].format_map({**fields, **self.values})
+
+
 class SamplingInfeasibleError(DataError):
     """Rejection rate exceeded 99% over the probe window, or an operator of
     the formula is non-finite on every row the ranges allow."""
@@ -134,6 +154,13 @@ def write_manifest(manifest: dict, root) -> dict:
     Path(root).mkdir(parents=True, exist_ok=True)
     (Path(root) / MANIFEST_FILE).write_text(json_text(manifest), encoding="utf-8")
     return manifest
+
+
+def check_counts(**counts: int) -> None:
+    """Raise ``ArgumentError`` naming the first of ``counts`` below 1."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ArgumentError("{%s} must be >= 1, got {count}" % name, count=count)
 
 
 def map_workers(func, work: list, workers: int) -> list:
@@ -207,8 +234,7 @@ def sample(spec: ProblemSpec, n: int, seed) -> Dataset:
     column, straight into one preallocated ``n x (k+1)`` table, and rows past
     the ``n``-th are dropped. The infeasibility test counts every good row
     drawn, kept or not."""
-    if n < 1:
-        raise DataError(f"row count must be >= 1, got {n}")
+    check_counts(n=n)
     rng = np.random.default_rng(seed)
     program = to_program(spec.canonical_expression)
     fault = sure_fault(program, _box(spec))
@@ -240,11 +266,11 @@ def sample(spec: ProblemSpec, n: int, seed) -> Dataset:
 
 def split_sizes(n: int, ratios=DEFAULT_RATIOS) -> tuple[int, int, int]:
     """Row counts of the train/val/test parts :func:`split` cuts from ``n``
-    rows; a part may be empty."""
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise DataError(f"need three positive ratios, got {ratios!r}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise DataError(f"ratios must sum to 1, got {sum(ratios)!r}")
+    rows; a part may be empty. ``ratios`` that are not three positive numbers
+    that sum to 1 raise ``ArgumentError``."""
+    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ArgumentError("{ratios} must be three positive numbers that sum to 1, got {value!r}",
+                            value=ratios)
     n_train = int(n * ratios[0])
     n_val = int(n * ratios[1])
     return n_train, n_val, n - n_train - n_val
@@ -258,13 +284,27 @@ def split(ds: Dataset, ratios=DEFAULT_RATIOS) -> tuple[Dataset, Dataset, Dataset
     return tuple(Dataset(ds.values[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
 
-def check_noise(level: float, mode: str, name: str = "noise level") -> None:
-    """Raise ``DataError`` naming (by ``name``) a noise level that is not
-    finite and >= 0, or for a mode not in ``NOISE_MODES``."""
+def check_rows(rows: int, ratios=DEFAULT_RATIOS) -> None:
+    """Raise ``ArgumentError`` for ``ratios`` :func:`split_sizes` refuses, or
+    unless every split of ``rows`` rows gets a row: no call reads an empty
+    split file."""
+    sizes = split_sizes(rows, ratios)
+    check_counts(rows=rows)
+    for name, size in zip(SPLIT_FILES, sizes):
+        if size == 0:
+            raise ArgumentError(
+                "{rows} {count} leaves the {split} split empty (train/val/test rows {sizes})",
+                count=rows, split=name, sizes="/".join(map(str, sizes)))
+
+
+def check_noise(level: float, mode: str) -> None:
+    """Raise ``ArgumentError`` for a noise level that is not finite and
+    >= 0, or for a mode not in ``NOISE_MODES``."""
     if not 0 <= level < math.inf:
-        raise DataError(f"{name} must be finite and >= 0, got {level}")
+        raise ArgumentError("{noise_level} must be finite and >= 0, got {level}", level=level)
     if mode not in NOISE_MODES:
-        raise DataError(f"unknown noise mode {mode!r}")
+        raise ArgumentError("{noise_mode} must be one of {modes}, got {mode!r}",
+                            modes=NOISE_MODES, mode=mode)
 
 
 def inject_noise(ds: Dataset, gamma: float, seed, mode: str = "mean") -> Dataset:
@@ -454,7 +494,11 @@ def generate(out, set_name: str = "all", catalog_files=(), rows: int = DEFAULT_R
              workers: int = 1) -> dict:
     """What ``srsdkit generate`` does: one :func:`write_problem_dir` under
     ``out`` per spec of :func:`.catalog.load_specs`, in ``workers``
-    processes, then the ``MANIFEST_FILE`` it returns."""
+    processes, then the ``MANIFEST_FILE`` it returns. Its ``check_*``
+    functions refuse arguments first."""
+    check_counts(workers=workers)
+    check_noise(noise_level, noise_mode)
+    check_rows(rows, ratios)
     specs = load_specs(catalog_files, set_name)
     write_one = partial(write_problem_dir, root=out, rows=rows, seed=seed, noise_level=noise_level,
                         ratios=ratios, noise_mode=noise_mode)

@@ -247,7 +247,10 @@ def eval_report(pred_dir, data_dir, tau: float = DEFAULT_TAU) -> dict:
     each problem directory of ``data_dir`` with a prediction under
     ``pred_dir``, their :func:`summarize` table, and the ``skipped`` ids. A
     prediction that does not decode or reads a missing column raises
-    ``DataError`` naming its problem."""
+    ``DataError`` naming its problem; a ``tau`` that is not finite,
+    ``ArgumentError``, before a file is read."""
+    if not math.isfinite(tau):
+        raise datagen.ArgumentError("{tau} must be finite, got {value}", value=tau)
     data_root, pred_root = Path(data_dir), Path(pred_dir)
     set_names = _set_names_from_manifest(data_root)
     rows = []

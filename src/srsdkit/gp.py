@@ -39,6 +39,7 @@ calls, which then enter none of their own. :func:`discover` is ``srsdkit discove
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 import random
@@ -116,6 +117,35 @@ class GPConfig:
         for op in self.operators:
             if op != "sub" and op not in OPERATORS:
                 raise ValueError(f"unknown operator {op!r}")
+
+
+def read_config(path, seed: int = 0) -> GPConfig:
+    """The ``GPConfig`` with seed ``seed`` and the settings of the JSON object
+    in file ``path``, if one is given. A key that is no field, a ``seed`` key
+    or an invalid setting raises ``ArgumentError``; a file that is not a JSON
+    object, ``DataError``."""
+    fields = {"seed": seed}
+    if path:
+        try:
+            payload = json.loads(datagen.read_text(path))
+        except json.JSONDecodeError as err:
+            raise datagen.DataError(f"{path}: not valid JSON: {err}") from None
+        if not isinstance(payload, dict):
+            raise datagen.DataError(f"{path}: not a JSON object")
+        if "seed" in payload:
+            raise datagen.ArgumentError("{path}: the GP seed is not a config key; pass {seed}",
+                                        path=path)
+        unknown = set(payload) - set(GPConfig.__dataclass_fields__)
+        if unknown:
+            raise datagen.ArgumentError("unknown GP config keys: {keys}", keys=sorted(unknown))
+        for key in ("const_range", "operators"):
+            if isinstance(payload.get(key), list):
+                payload[key] = tuple(payload[key])
+        fields.update(payload)
+    try:
+        return GPConfig(**fields)
+    except ValueError as err:
+        raise datagen.ArgumentError("invalid GP config: {err}", err=err) from None
 
 
 def _is_unary(op: str) -> bool:
@@ -353,7 +383,9 @@ def discover(data_dir, out, config: GPConfig, seeds: int = 5, problems=None,
     ``data_dir`` (only those named in ``problems``, when given), runs with
     seeds ``config.seed`` onwards in ``workers`` processes, each selected
     model written to its :func:`.evalkit.prediction_file` under ``out``;
-    then the ``MANIFEST_FILE`` it returns."""
+    then the ``MANIFEST_FILE`` it returns. ``seeds`` or ``workers`` below 1
+    raise ``ArgumentError`` before a file is read or made."""
+    datagen.check_counts(seeds=seeds, workers=workers)
     data_root = Path(data_dir)
     dirs = datagen.problem_dirs(data_root)
     if problems:

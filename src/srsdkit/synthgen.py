@@ -63,14 +63,18 @@ K_MIN, K_MAX = -322, 307
 
 
 class SynthError(ValueError):
-    """No usable equation within the retry budget, or a range exponent out of bounds."""
+    """No usable equation within the retry budget."""
 
 
-def check_range_exponents(k_lo: int, k_hi: int, names=("k_lo", "k_hi")) -> None:
-    """Raise ``SynthError`` naming (by ``names``) a bound outside [K_MIN, K_MAX]."""
-    for name, k in zip(names, (k_lo, k_hi)):
+def check_range_exponents(k_lo: int, k_hi: int) -> None:
+    """Raise ``ArgumentError`` for a bound outside [K_MIN, K_MAX], or for
+    ``k_lo`` above ``k_hi``."""
+    for name, k in (("k_lo", k_lo), ("k_hi", k_hi)):
         if not K_MIN <= k <= K_MAX:
-            raise SynthError(f"{name} must be in [{K_MIN}, {K_MAX}], got {k}")
+            raise datagen.ArgumentError("{%s} must be in [{lo}, {hi}], got {k}" % name,
+                                        lo=K_MIN, hi=K_MAX, k=k)
+    if k_lo > k_hi:
+        raise datagen.ArgumentError("{k_lo} must be <= {k_hi}, got {lo} > {hi}", lo=k_lo, hi=k_hi)
 
 
 @dataclass
@@ -79,6 +83,10 @@ class BigramModel:
     alpha: float
     counts: dict[tuple[str, str], int] = field(default_factory=dict)
     context_totals: dict[str, int] = field(default_factory=dict)
+    arity: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):  # the sampler reads every token's arity at every step
+        self.arity = {token: token_arity(token) for token in self.vocabulary}
 
     def probability(self, prev: str, nxt: str) -> float:
         total = self.context_totals.get(prev, 0)
@@ -104,17 +112,15 @@ def train_bigram(corpus: list[Sequence[str]], alpha: float = 1.0) -> BigramModel
     return model
 
 
-def _feasible(token: str, open_slots: int, used: int, max_tokens: int) -> bool:
-    opened = open_slots - 1 + token_arity(token)
-    return opened <= max_tokens - (used + 1)
-
-
 def _sample_tokens(model: BigramModel, max_tokens: int, rng: np.random.Generator) -> list[str]:
     tokens: list[str] = []
     open_slots = 1
     prev = START
+    arity = model.arity
     while open_slots > 0:
-        feasible = [t for t in model.vocabulary if _feasible(t, open_slots, len(tokens), max_tokens)]
+        # A token may open as many slots as the budget can still fill after it.
+        room = max_tokens - len(tokens) - open_slots
+        feasible = [t for t in model.vocabulary if arity[t] <= room]
         if not feasible:
             raise SynthError("no feasible token; max_tokens too small for the vocabulary")
         weights = np.array([model.probability(prev, t) for t in feasible])
@@ -123,7 +129,7 @@ def _sample_tokens(model: BigramModel, max_tokens: int, rng: np.random.Generator
             raise SynthError("bigram model assigns zero mass to every feasible token")
         choice = feasible[int(rng.choice(len(feasible), p=weights / total))]
         tokens.append(choice)
-        open_slots += token_arity(choice) - 1
+        open_slots += arity[choice] - 1
         prev = choice
     return tokens
 
@@ -145,8 +151,7 @@ def _tokens_to_expression(tokens: list[str], rng: np.random.Generator) -> Expres
 
 def sample_equation(model: BigramModel, max_tokens: int, seed, max_retries: int = 50) -> Expression:
     """Draw one non-degenerate equation; always decodes by construction."""
-    if max_tokens < 1:
-        raise SynthError(f"max_tokens must be >= 1, got {max_tokens}")
+    datagen.check_counts(max_tokens=max_tokens)
     rng = np.random.default_rng(seed)
     for _ in range(max_retries):
         tokens = _sample_tokens(model, max_tokens, rng)
@@ -189,7 +194,7 @@ def assign_ranges(
 
     Each variable independently draws an integer k in [k_lo, k_hi] and
     samples log-uniformly from [10^(k-1), 10^(k+1)], positive float; a
-    bound outside [K_MIN, K_MAX] raises ``SynthError``.
+    bound :func:`check_range_exponents` refuses raises ``ArgumentError``.
 
     ``expr`` may also be a spec an earlier call returned. The new spec then
     shares its nested tree, canonical tree and skeleton, which ranges do not
@@ -237,7 +242,13 @@ def synth(out, n: int, seed: int = 0, catalog_files=(), max_tokens: int = 32, ro
     ``out`` with 1 to ``copies_max`` problem directories of its own ranges,
     then the ``MANIFEST_FILE`` it returns. Equation ``i`` draws from the
     seed ``[seed, i]``, its copy ``c`` from ``[seed, i, c]``, and the copy
-    counts from ``[seed, 0xC0]``; an infeasible copy is written as none."""
+    counts from ``[seed, 0xC0]``; an infeasible copy is written as none.
+    The arguments are checked first, each refusal an ``ArgumentError``."""
+    datagen.check_counts(n=n, max_tokens=max_tokens, copies_max=copies_max)
+    check_range_exponents(k_lo, k_hi)
+    if not 0.0 <= alpha < math.inf:
+        raise datagen.ArgumentError("{alpha} must be finite and >= 0, got {value}", value=alpha)
+    datagen.check_rows(rows)
     model = train_bigram([s.skeleton for s in load_specs(catalog_files)], alpha=alpha)
     out_root = Path(out)
     eq_dir = out_root / "equations"

@@ -170,7 +170,7 @@ def test_noise_rms_mode():
 @pytest.mark.parametrize("gamma", [math.inf, math.nan, -1.0])
 def test_noise_level_must_be_finite_and_non_negative(gamma):
     ds = Dataset(np.array([[1.0, 2.0]]))
-    with pytest.raises(DataError, match="noise level must be finite and >= 0"):
+    with pytest.raises(DataError, match="noise_level must be finite and >= 0"):
         inject_noise(ds, gamma, seed=1)
 
 

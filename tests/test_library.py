@@ -170,14 +170,117 @@ def test_eval_with_a_non_finite_tau_is_usage_error(easy100, capsys, tau):
     assert err == f"usage error: --tau must be finite, got {float(tau)}\n"
 
 
+# The ids are those of the cases before the texts named their parameters.
 @pytest.mark.parametrize("level, mode, message", [
-    (math.nan, "mean", "noise level must be finite and >= 0, got nan"),
-    (-1.0, "mean", "noise level must be finite and >= 0, got -1.0"),
-    (math.inf, "rms", "noise level must be finite and >= 0, got inf"),
-    (0.0, "bogus", "unknown noise mode 'bogus'"),
+    pytest.param(math.nan, "mean", "noise_level must be finite and >= 0, got nan",
+                 id="nan-mean-noise level must be finite and >= 0, got nan"),
+    pytest.param(-1.0, "mean", "noise_level must be finite and >= 0, got -1.0",
+                 id="-1.0-mean-noise level must be finite and >= 0, got -1.0"),
+    pytest.param(math.inf, "rms", "noise_level must be finite and >= 0, got inf",
+                 id="inf-rms-noise level must be finite and >= 0, got inf"),
+    pytest.param(0.0, "bogus", r"noise_mode must be one of \('mean', 'rms'\), got 'bogus'",
+                 id="0.0-bogus-unknown noise mode 'bogus'"),
 ])
 def test_write_problem_dir_refuses_bad_noise_settings(tmp_path, level, mode, message):
-    with pytest.raises(datagen.DataError, match=f"^{message}$"):
+    with pytest.raises(datagen.ArgumentError, match=f"^{message}$"):
         datagen.write_problem_dir(load_builtin("I.12.1"), tmp_path, rows=10,
                                   noise_level=level, noise_mode=mode)
     assert list(tmp_path.iterdir()) == []
+
+
+def _config_file(root, payload) -> str:
+    path = root / "gp.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("call, text", [
+    pytest.param(lambda out, data: datagen.generate(out, set_name="easy", rows=5, seed=1),
+                 "rows 5 leaves the val split empty (train/val/test rows 4/0/1)", id="generate-rows-5"),
+    pytest.param(lambda out, data: datagen.generate(out, set_name="easy", rows=1),
+                 "rows 1 leaves the train split empty (train/val/test rows 0/0/1)", id="generate-rows-1"),
+    pytest.param(lambda out, data: datagen.generate(out, set_name="easy", rows=0),
+                 "rows must be >= 1, got 0", id="generate-rows-0"),
+    pytest.param(lambda out, data: datagen.generate(out, rows=10, ratios=(0.5, 0.5, 1e-10)),
+                 "rows 10 leaves the test split empty (train/val/test rows 5/5/0)",
+                 id="generate-empty-test"),
+    pytest.param(lambda out, data: datagen.generate(out, ratios=(0.5, 0.5, 0.5)),
+                 "ratios must be three positive numbers that sum to 1, got (0.5, 0.5, 0.5)",
+                 id="generate-ratios-sum"),
+    pytest.param(lambda out, data: datagen.generate(out, ratios=(0.5, 0.5)),
+                 "ratios must be three positive numbers that sum to 1, got (0.5, 0.5)",
+                 id="generate-ratios-two"),
+    pytest.param(lambda out, data: datagen.generate(out, noise_level=math.nan),
+                 "noise_level must be finite and >= 0, got nan", id="generate-noise-nan"),
+    pytest.param(lambda out, data: datagen.generate(out, noise_level=math.inf),
+                 "noise_level must be finite and >= 0, got inf", id="generate-noise-inf"),
+    pytest.param(lambda out, data: datagen.generate(out, noise_level=-1.0),
+                 "noise_level must be finite and >= 0, got -1.0", id="generate-noise-negative"),
+    pytest.param(lambda out, data: datagen.generate(out, noise_mode="bogus"),
+                 "noise_mode must be one of ('mean', 'rms'), got 'bogus'", id="generate-noise-mode"),
+    pytest.param(lambda out, data: datagen.generate(out, workers=0),
+                 "workers must be >= 1, got 0", id="generate-workers-0"),
+    pytest.param(lambda out, data: datagen.generate(out, workers=-5),
+                 "workers must be >= 1, got -5", id="generate-workers-negative"),
+    pytest.param(lambda out, data: synthgen.synth(out, 0),
+                 "n must be >= 1, got 0", id="synth-n-0"),
+    pytest.param(lambda out, data: synthgen.synth(out, 1, max_tokens=0),
+                 "max_tokens must be >= 1, got 0", id="synth-max-tokens-0"),
+    pytest.param(lambda out, data: synthgen.synth(out, 1, copies_max=0),
+                 "copies_max must be >= 1, got 0", id="synth-copies-max-0"),
+    pytest.param(lambda out, data: synthgen.synth(out, 1, k_lo=3, k_hi=1),
+                 "k_lo must be <= k_hi, got 3 > 1", id="synth-k-order"),
+    pytest.param(lambda out, data: synthgen.synth(out, 2, k_lo=308, k_hi=308),
+                 "k_lo must be in [-322, 307], got 308", id="synth-k-both-high"),
+    pytest.param(lambda out, data: synthgen.synth(out, 2, k_lo=-323, k_hi=-323),
+                 "k_lo must be in [-322, 307], got -323", id="synth-k-both-low"),
+    pytest.param(lambda out, data: synthgen.synth(out, 2, k_hi=308),
+                 "k_hi must be in [-322, 307], got 308", id="synth-k-hi"),
+    pytest.param(lambda out, data: synthgen.synth(out, 2, k_lo=-323),
+                 "k_lo must be in [-322, 307], got -323", id="synth-k-lo"),
+    pytest.param(lambda out, data: synthgen.synth(out, 1, alpha=math.nan),
+                 "alpha must be finite and >= 0, got nan", id="synth-alpha-nan"),
+    pytest.param(lambda out, data: synthgen.synth(out, 2, alpha=-1.0),
+                 "alpha must be finite and >= 0, got -1.0", id="synth-alpha-negative"),
+    pytest.param(lambda out, data: synthgen.synth(out, 2, rows=3),
+                 "rows 3 leaves the val split empty (train/val/test rows 2/0/1)", id="synth-rows-3"),
+    pytest.param(lambda out, data: synthgen.synth(out, 1, rows=9),
+                 "rows 9 leaves the val split empty (train/val/test rows 7/0/2)", id="synth-rows-9"),
+    pytest.param(lambda out, data: gp.discover(data, out, _SMALL_GP, seeds=0),
+                 "seeds must be >= 1, got 0", id="discover-seeds-0"),
+    pytest.param(lambda out, data: gp.discover(data, out, _SMALL_GP, workers=0),
+                 "workers must be >= 1, got 0", id="discover-workers-0"),
+    pytest.param(lambda out, data: gp.discover(data, out, _SMALL_GP, workers=-3),
+                 "workers must be >= 1, got -3", id="discover-workers-negative"),
+    pytest.param(lambda out, data: evalkit.eval_report(out, data, tau=math.nan),
+                 "tau must be finite, got nan", id="eval-tau-nan"),
+    pytest.param(lambda out, data: evalkit.eval_report(out, data, tau=math.inf),
+                 "tau must be finite, got inf", id="eval-tau-inf"),
+    pytest.param(lambda out, data: evalkit.eval_report(out, data, tau=-math.inf),
+                 "tau must be finite, got -inf", id="eval-tau-negative-inf"),
+    pytest.param(lambda out, data: gp.read_config(_config_file(out.parent, {"nope": 3})),
+                 "unknown GP config keys: ['nope']", id="gp-config-unknown-key"),
+    pytest.param(lambda out, data: gp.read_config(_config_file(out.parent, {"population_size": 1})),
+                 "invalid GP config: population_size must be >= 2", id="gp-config-invalid"),
+    pytest.param(lambda out, data: gp.read_config(_config_file(out.parent, {"p_crossover": "0.5"})),
+                 "invalid GP config: p_crossover must be a finite number, got '0.5'",
+                 id="gp-config-type"),
+])
+def test_a_refused_argument_names_its_parameter_before_anything_is_made(easy100, tmp_path,
+                                                                      call, text):
+    # The CLI prints each of these texts with the parameter's flag, as a
+    # usage error (exit code 1).
+    out = tmp_path / "out"
+    with pytest.raises(datagen.ArgumentError) as info:
+        call(out, easy100)
+    assert str(info.value) == text
+    assert not out.exists()
+
+
+def test_a_gp_config_with_a_seed_names_the_seed_parameter(tmp_path):
+    path = _config_file(tmp_path, {"population_size": 10, "seed": 5})
+    with pytest.raises(datagen.ArgumentError) as info:
+        gp.read_config(path, seed=1)
+    assert str(info.value) == f"{path}: the GP seed is not a config key; pass seed"
+    assert info.value.naming({"seed": "--seed"}) == (
+        f"{path}: the GP seed is not a config key; pass --seed")

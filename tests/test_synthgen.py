@@ -8,7 +8,7 @@ from oracle import to_infix
 
 from srsdkit import treedist
 from srsdkit.catalog import builtin_problems, load_builtin
-from srsdkit.datagen import derive_seed, sample
+from srsdkit.datagen import ArgumentError, derive_seed, sample
 from srsdkit.expr import canonicalize, parse, skeletonize, var
 from srsdkit.synthgen import (
     K_MAX,
@@ -139,7 +139,7 @@ def test_assign_ranges_accepts_the_extreme_exponents(k):
 ])
 def test_assign_ranges_refuses_an_exponent_out_of_bounds(k_lo, k_hi, bound):
     k = k_lo if bound == "k_lo" else k_hi
-    with pytest.raises(SynthError) as info:
+    with pytest.raises(ArgumentError) as info:
         assign_ranges(var(0), 1, k_lo=k_lo, k_hi=k_hi)
     assert str(info.value) == f"{bound} must be in [-322, 307], got {k}"
 
