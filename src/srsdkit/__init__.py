@@ -7,6 +7,10 @@ distance and leakage results are immutable and may be shared across threads.
 updates: give each thread its own. Dataset generation derives one independent
 RNG stream per problem, so per-problem work parallelizes without changing a
 single output byte.
+
+Every refusal of input is an ``errors.DataError`` (a ``ValueError``); an
+argument value refused before a file is read or made is its subclass
+``errors.ArgumentError``. Both are exported here.
 """
 
 from .expr import (
@@ -18,6 +22,7 @@ from .expr import (
     skeletonize,
 )
 from .treedist import distance_result, edit_distance, normalized_edit_distance
+from .errors import ArgumentError, DataError
 from .catalog import ProblemSpec, builtin_problems, load_builtin, load_file
 from .datagen import Dataset, derive_seed, inject_noise, sample, split
 from .evalkit import (
@@ -32,6 +37,8 @@ from .synthgen import assign_ranges, domain_iou, leakage_report, sample_equation
 __version__ = "0.1.0"
 
 __all__ = [
+    "ArgumentError",
+    "DataError",
     "Dataset",
     "Expression",
     "GPConfig",

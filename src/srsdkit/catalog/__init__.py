@@ -20,7 +20,8 @@ from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
-from ..expr import Expression, ParseError, canonicalize, count_ops, parse, skeletonize
+from ..errors import DataError, read_text
+from ..expr import Expression, ExpressionError, ParseError, canonicalize, count_ops, parse, skeletonize
 
 BUILTIN_SETS = ("easy", "medium", "hard")
 
@@ -29,7 +30,7 @@ VALUE_CLASSES = ("float", "integer", "wide_integer")
 SIGNS = ("positive", "negative", "nonnegative", "any")
 
 
-class CatalogError(ValueError):
+class CatalogError(DataError):
     """Unknown problem id or schema violation (message carries the field path)."""
 
 
@@ -161,19 +162,28 @@ def _variable_from_payload(obj, path) -> VariableSpec:
 
 
 def problem_from_payload(obj, path="problem") -> ProblemSpec:
+    """The spec of one catalog entry. Its id names its problem directory, so
+    it must be one path component: not empty, ``.`` or ``..``, and without
+    ``/`` or ``\\``. Its variable names must differ."""
     pid = _expect(obj, "id", str, path)
+    if pid in ("", ".", "..") or "/" in pid or "\\" in pid:
+        raise CatalogError(f"{path}.id: must be one path component, got {pid!r}")
     set_name = _expect(obj, "set", str, path)
     formula = _expect(obj, "formula", str, path)
     raw_vars = _expect(obj, "variables", list, path)
     variables = [
         _variable_from_payload(v, f"{path}.variables[{i}]") for i, v in enumerate(raw_vars)
     ]
+    names = [v.name for v in variables]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise CatalogError(f"{path}.variables[{i}].name: {name!r} names an earlier variable too")
     flags = [v.dist.is_fixed for v in variables]
     if any(earlier and not later for earlier, later in zip(flags, flags[1:])):
         raise CatalogError(f"{path}.variables: sampled variables must precede constants")
     try:
         return ProblemSpec(id=pid, set_name=set_name, formula=formula, variables=variables)
-    except ParseError as err:
+    except (ParseError, ExpressionError) as err:  # ExpressionError: a literal past the largest double
         raise CatalogError(f"{path}.formula: {err}") from None
 
 
@@ -214,13 +224,8 @@ def loads(text: str, source="<string>") -> list[ProblemSpec]:
 
 
 def load_file(path) -> list[ProblemSpec]:
-    """The specs of a catalog JSON file; a file that is not UTF-8 raises
-    ``CatalogError`` in the words of ``datagen.read_text``."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
-        raise CatalogError(f"{path}: not UTF-8 text ({err.reason} at byte offset {err.start})") from None
-    return loads(text, source=str(path))
+    """The specs of a catalog JSON file, read by :func:`.errors.read_text`."""
+    return loads(read_text(path), source=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +259,16 @@ def load_builtin(problem_id: str) -> ProblemSpec:
 
 def load_specs(catalog_files, set_name: str = "all") -> list[ProblemSpec]:
     """The specs of set ``set_name`` (or ``"all"``) from the catalog JSON
-    ``catalog_files``, or from the built-in catalog when none is given."""
+    ``catalog_files``, or from the built-in catalog when none is given. An
+    id that two of the files' specs share raises ``CatalogError``."""
     if catalog_files:
-        specs = []
+        specs, where = [], {}
         for path in catalog_files:
-            specs.extend(load_file(path))
+            for i, spec in enumerate(load_file(path)):
+                if spec.id in where:
+                    raise CatalogError(f"{path}[{i}].id: {spec.id!r} is also the id of {where[spec.id]}")
+                where[spec.id] = f"{path}[{i}]"
+                specs.append(spec)
         if set_name != "all":
             specs = [s for s in specs if s.set_name == set_name]
         if not specs:

@@ -17,7 +17,10 @@ The library checks every argument value: its ``ArgumentError`` is a usage
 error, printed with each parameter named by its flag (``--k-lo`` for
 ``k_lo``). All JSON is ``datagen.json_text`` (stdout by default, ``--out``
 for files), with id-sorted problem lists, so identical flags and seed give
-byte identical output. Exit codes: 0 success, 1 usage error, 2 data error.
+byte identical output. Exit codes: 0 success, 1 usage error
+(``errors.ArgumentError``), 2 data error (any other ``errors.DataError``,
+or an ``OSError`` of a file); the classes decide, and no other error is
+caught.
 The ``SRSD_SEED`` environment variable supplies the master seed when
 ``--seed`` is omitted.
 """
@@ -25,15 +28,13 @@ The ``SRSD_SEED`` environment variable supplies the master seed when
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from . import catalog as cat
 from . import datagen, evalkit, gp, synthgen
-from .datagen import ArgumentError
-from .expr import CanonicalizationError, DecodeError, ParseError
+from .errors import ArgumentError, DataError
 from .treedist import distance_result
 
 
@@ -186,19 +187,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-_DATA_ERRORS = (
-    CanonicalizationError,
-    cat.CatalogError,
-    datagen.DataError,
-    DecodeError,
-    ParseError,
-    synthgen.SynthError,
-    evalkit.ZeroVarianceError,
-    OSError,
-    json.JSONDecodeError,
-)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -208,7 +196,7 @@ def main(argv=None) -> int:
     except ArgumentError as err:
         print(f"usage error: {err.naming(parser.flags)}", file=sys.stderr)
         return 1
-    except _DATA_ERRORS as err:
+    except (DataError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

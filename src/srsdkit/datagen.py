@@ -48,7 +48,8 @@ rejected). A ``true_eq.txt`` that is not UTF-8 raises the first of these.
 A problem directory holds the ``SPLIT_FILES`` train.txt / val.txt / test.txt
 plus ``TRUE_EQ_FILE`` true_eq.txt (line 1: the true skeleton in preorder
 tokens; line 2: its constant values in preorder, one per ``C``, possibly
-empty). Other modules use these names; :func:`problem_dirs` finds the problems.
+empty). Other modules use these names; :func:`problem_dirs` finds the problems,
+and :func:`read_splits` reads a problem's split files, all of one width.
 :func:`generate` is ``srsdkit generate``: problem directories plus a ``MANIFEST_FILE``.
 """
 
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -66,6 +66,7 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import ProblemSpec, load_specs
+from .errors import ArgumentError, DataError, read_text
 from .expr import (
     DecodeError,
     Expression,
@@ -92,29 +93,6 @@ NOISE_MODES = ("mean", "rms")
 # multiples of the requested row count.
 _INFEASIBLE_FACTOR = 50
 _MIN_PROBE = 20_000
-
-
-class DataError(ValueError):
-    """Malformed dataset file or invalid generation request."""
-
-
-class ArgumentError(DataError):
-    """An argument value that a library call refuses, before it reads or makes
-    a file. The template names each parameter as ``{parameter}`` and each
-    value as ``{key}`` of ``values``; ``str(err)`` reads a parameter as its
-    name, :meth:`naming` as ``names`` maps it (the CLI, to its flag)."""
-
-    def __init__(self, template: str, **values):
-        super().__init__(template)
-        self.values = values
-
-    def __str__(self) -> str:
-        return self.naming({})
-
-    def naming(self, names: dict[str, str]) -> str:
-        """The text, each parameter ``p`` read as ``names.get(p, p)``."""
-        fields = {f: names.get(f, f) for f in re.findall(r"\{(\w+)", self.args[0])}
-        return self.args[0].format_map({**fields, **self.values})
 
 
 class SamplingInfeasibleError(DataError):
@@ -358,16 +336,6 @@ def write(ds: Dataset, path) -> None:
         file.writelines(format_rows(values))
 
 
-def read_text(path) -> str:
-    """The text of ``path``, decoded as UTF-8; any other bytes raise
-    ``DataError``. Data files, ``true_eq.txt``, expression files, manifests
-    and GP configs are read through here."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
-        raise DataError(f"{path}: not UTF-8 text ({err.reason} at byte offset {err.start})") from None
-
-
 def _scan_error(path, err: ValueError) -> str:
     """The first fault, by file line, of a file ``np.loadtxt`` rejected:
     ``loadtxt`` counts data rows, not lines. The scan builds no array."""
@@ -403,6 +371,23 @@ def read(path) -> Dataset:
         raise DataError(f"{path}: no data rows")
     _check_finite(values, path)
     return Dataset(values)
+
+
+def read_splits(pdir, names, optional=()) -> dict[str, Dataset]:
+    """The :func:`read` of each split ``names`` of the ``SPLIT_FILES`` of
+    problem directory ``pdir``, then of each split ``optional`` whose file
+    exists, by split name. A split whose width differs from the first's
+    raises ``DataError``: ``expected W columns as in train.txt, found M``."""
+    pdir = Path(pdir)
+    names = [*names, *(name for name in optional if (pdir / SPLIT_FILES[name]).is_file())]
+    parts: dict[str, Dataset] = {}
+    for name in names:
+        part = parts[name] = read(pdir / SPLIT_FILES[name])
+        width = parts[names[0]].values.shape[1]
+        if part.values.shape[1] != width:
+            raise DataError(f"{pdir / SPLIT_FILES[name]}: expected {width} columns as in "
+                            f"{SPLIT_FILES[names[0]]}, found {part.values.shape[1]}")
+    return parts
 
 
 def write_true_equation(spec: ProblemSpec, path) -> None:

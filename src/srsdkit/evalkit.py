@@ -14,7 +14,6 @@ the canonicalizer's rewrite rules; an undecided case reports False).
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from . import datagen
 from .catalog import BUILTIN_SETS
+from .errors import ArgumentError, DataError, read_json
 from .expr import (
     DecodeError,
     Expression,
@@ -42,7 +42,7 @@ TINY_TARGET = 1e-300  # rows with |y| below this are skipped by Eq-style relativ
 DEFAULT_TAU = 0.999
 
 
-class ZeroVarianceError(ValueError):
+class ZeroVarianceError(DataError):
     """R-squared is undefined when the targets are all identical."""
 
 
@@ -214,10 +214,10 @@ def _set_names_from_manifest(root: Path) -> dict[str, str]:
     manifest = root / datagen.MANIFEST_FILE
     if not manifest.is_file():
         return {}
-    payload = json.loads(datagen.read_text(manifest))
+    payload = read_json(manifest)
     problems = payload.get("problems", []) if isinstance(payload, dict) else None
     if not isinstance(problems, list) or not all(isinstance(e, dict) for e in problems):
-        raise datagen.DataError(f"{manifest}: not a JSON object with a 'problems' list of objects")
+        raise DataError(f"{manifest}: not a JSON object with a 'problems' list of objects")
     return {e["id"]: e["set"] for e in problems
             if isinstance(e.get("id"), str) and isinstance(e.get("set"), str)}
 
@@ -235,7 +235,7 @@ def _load_prediction(pred_dir: Path, problem_id: str) -> Expression | None:
         try:
             return prefix_to_expression(datagen.read_expression_line(flat).split())
         except DecodeError as err:
-            raise datagen.DataError(f"{problem_id}: invalid prediction: {err}") from None
+            raise DataError(f"{problem_id}: invalid prediction: {err}") from None
     nested = pred_dir / problem_id / datagen.TRUE_EQ_FILE
     if nested.is_file():
         return datagen.read_true_equation(nested)
@@ -246,11 +246,11 @@ def eval_report(pred_dir, data_dir, tau: float = DEFAULT_TAU) -> dict:
     """The report ``srsdkit eval`` prints: a :func:`evaluate_against` row for
     each problem directory of ``data_dir`` with a prediction under
     ``pred_dir``, their :func:`summarize` table, and the ``skipped`` ids. A
-    prediction that does not decode or reads a missing column raises
-    ``DataError`` naming its problem; a ``tau`` that is not finite,
-    ``ArgumentError``, before a file is read."""
+    prediction that does not decode or reads a missing column, and every
+    other ``DataError`` of scoring, raises ``DataError`` naming its problem;
+    a ``tau`` that is not finite, ``ArgumentError``, before a file is read."""
     if not math.isfinite(tau):
-        raise datagen.ArgumentError("{tau} must be finite, got {value}", value=tau)
+        raise ArgumentError("{tau} must be finite, got {value}", value=tau)
     data_root, pred_root = Path(data_dir), Path(pred_dir)
     set_names = _set_names_from_manifest(data_root)
     rows = []
@@ -262,24 +262,24 @@ def eval_report(pred_dir, data_dir, tau: float = DEFAULT_TAU) -> dict:
             skipped.append(pid)
             continue
         truth = datagen.read_true_equation(pdir / datagen.TRUE_EQ_FILE)
-        test = datagen.read(pdir / datagen.SPLIT_FILES["test"])
-        val_path = pdir / datagen.SPLIT_FILES["val"]
-        validation = datagen.read(val_path) if val_path.is_file() else None
+        splits = datagen.read_splits(pdir, ["test"], optional=["val"])
         try:
             row = evaluate_against(
                 pred,
                 truth,
-                test,
+                splits["test"],
                 problem_id=pid,
                 set_name=set_names.get(pid, "unknown"),
                 tau=tau,
-                validation=validation,
+                validation=splits.get("val"),
             )
         except VariableIndexError as err:
-            raise datagen.DataError(f"{pid}: invalid prediction: {err}") from None
+            raise DataError(f"{pid}: invalid prediction: {err}") from None
+        except DataError as err:
+            raise DataError(f"{pid}: {err}") from None
         rows.append(row)
     if not rows:
-        raise datagen.DataError(f"no predictions found under {pred_root}")
+        raise DataError(f"no predictions found under {pred_root}")
     rows.sort(key=lambda row: row["id"])
     return {
         "problems": rows,

@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 
+from ..errors import DataError
 from .nodes import (
     OPERATORS,
     Expression,
@@ -52,7 +53,7 @@ from .nodes import (
 _MAX_PASSES = 50
 
 
-class CanonicalizationError(ValueError):
+class CanonicalizationError(DataError):
     """The rewrite passes did not reach a fixed point within ``_MAX_PASSES``."""
 
 

@@ -47,6 +47,7 @@ import contextlib
 
 import numpy as np
 
+from ..errors import DataError
 from .nodes import OPERATORS, Expression, subtree_end, to_program
 
 MEMO_BYTES = 1 << 19  # the most a Memo holds: 512 KB of result arrays
@@ -55,7 +56,7 @@ _HELD_BY_OWNER = contextlib.nullcontext()  # a memo's owner holds np.errstate
 _HIDES_NONFINITE = frozenset(name for name, op in OPERATORS.items() if op.hides_nonfinite)
 
 
-class VariableIndexError(ValueError):
+class VariableIndexError(DataError):
     """The tree reads a variable that the data matrix has no column for."""
 
 

@@ -20,6 +20,7 @@ import math
 import re
 from typing import Mapping, Sequence
 
+from ..errors import DataError
 from .nodes import OPERATORS, Expression, const, var, op_node
 
 _TOKEN_RE = re.compile(
@@ -34,7 +35,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-class ParseError(ValueError):
+class ParseError(DataError):
     """Syntax or resolution error, with the character position."""
 
     def __init__(self, message: str, position: int):

@@ -25,10 +25,11 @@ import math
 import re
 from collections.abc import Sequence
 
+from ..errors import DataError
 from .nodes import OPERATORS, Expression, const, op_node, preorder, var
 
 
-class DecodeError(ValueError):
+class DecodeError(DataError):
     """Token sequence does not decode to exactly one tree."""
 
 

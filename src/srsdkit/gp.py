@@ -39,7 +39,6 @@ calls, which then enter none of their own. :func:`discover` is ``srsdkit discove
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import random
@@ -51,6 +50,7 @@ import numpy as np
 
 from . import datagen, evalkit
 from .datagen import Dataset
+from .errors import ArgumentError, DataError, read_json
 from .evalkit import FitnessRows, relative_error_score
 from .expr import (OPERATORS, Expression, canonicalize, expression_to_prefix, from_program,
                    operator_token, subtree_end)
@@ -126,18 +126,14 @@ def read_config(path, seed: int = 0) -> GPConfig:
     object, ``DataError``."""
     fields = {"seed": seed}
     if path:
-        try:
-            payload = json.loads(datagen.read_text(path))
-        except json.JSONDecodeError as err:
-            raise datagen.DataError(f"{path}: not valid JSON: {err}") from None
+        payload = read_json(path)
         if not isinstance(payload, dict):
-            raise datagen.DataError(f"{path}: not a JSON object")
+            raise DataError(f"{path}: not a JSON object")
         if "seed" in payload:
-            raise datagen.ArgumentError("{path}: the GP seed is not a config key; pass {seed}",
-                                        path=path)
+            raise ArgumentError("{path}: the GP seed is not a config key; pass {seed}", path=path)
         unknown = set(payload) - set(GPConfig.__dataclass_fields__)
         if unknown:
-            raise datagen.ArgumentError("unknown GP config keys: {keys}", keys=sorted(unknown))
+            raise ArgumentError("unknown GP config keys: {keys}", keys=sorted(unknown))
         for key in ("const_range", "operators"):
             if isinstance(payload.get(key), list):
                 payload[key] = tuple(payload[key])
@@ -145,7 +141,7 @@ def read_config(path, seed: int = 0) -> GPConfig:
     try:
         return GPConfig(**fields)
     except ValueError as err:
-        raise datagen.ArgumentError("invalid GP config: {err}", err=err) from None
+        raise ArgumentError("invalid GP config: {err}", err=err) from None
 
 
 def _is_unary(op: str) -> bool:
@@ -304,12 +300,13 @@ def _tournament(fitnesses: list[float], rng: random.Random, k: int) -> int:
 
 
 def evolve(train: Dataset, config: GPConfig) -> list[Expression]:
-    """Run the GP loop; returns the final top-k expressions by fitness."""
+    """Run the GP loop; returns the final top-k expressions by fitness. A
+    ``train`` without rows or without input columns raises ``DataError``."""
     if train.n_rows == 0:
-        raise ValueError("training dataset is empty")
+        raise DataError("training dataset is empty")
     n_vars = train.X.shape[1]
     if n_vars == 0:
-        raise ValueError("training dataset has no input columns")
+        raise DataError("training dataset has no input columns")
     # Column-major, so every column and the target are contiguous: the
     # ufuncs read them faster than strided views, with the same bits.
     train = replace(train, values=np.asfortranarray(train.values))
@@ -354,18 +351,20 @@ def evolve(train: Dataset, config: GPConfig) -> list[Expression]:
 
 def _discover_one(pdir: Path, base_config: GPConfig, n_seeds: int) -> dict:
     """The manifest entry of one problem directory: the canonical tree of the
-    best of ``n_seeds`` runs' top-k on its validation rows, or ``None``."""
+    best of ``n_seeds`` runs' top-k on its validation rows, or ``None``. A
+    ``DataError`` of the runs or the selection gets the problem id in front."""
     pid = pdir.name
-    train = datagen.read(pdir / datagen.SPLIT_FILES["train"])
-    val = datagen.read(pdir / datagen.SPLIT_FILES["val"])
+    train, val = datagen.read_splits(pdir, ["train", "val"]).values()
     candidates = []
-    for offset in range(n_seeds):
-        config = replace(base_config, seed=base_config.seed + offset)
-        candidates.extend(evolve(train, config))
     try:
+        for offset in range(n_seeds):
+            config = replace(base_config, seed=base_config.seed + offset)
+            candidates.extend(evolve(train, config))
         best = evalkit.select_best(candidates, val)
     except evalkit.NoViableCandidateError:
         return {"id": pid, "expression": None, "selection_score": None}
+    except DataError as err:
+        raise DataError(f"{pid}: {err}") from None
     best_canonical = canonicalize(best)
     # The manifest reports the canonical tree's score, which can differ in the
     # last bits from select_best's score of the raw tree.
@@ -393,7 +392,7 @@ def discover(data_dir, out, config: GPConfig, seeds: int = 5, problems=None,
         dirs = [d for d in dirs if d.name in wanted]
         missing = wanted - {d.name for d in dirs}
         if missing:
-            raise datagen.DataError(f"problems not found in {data_root}: {sorted(missing)}")
+            raise DataError(f"problems not found in {data_root}: {sorted(missing)}")
     out_root = Path(out)
     out_root.mkdir(parents=True, exist_ok=True)
     results = datagen.map_workers(partial(_discover_one, base_config=config, n_seeds=seeds),

@@ -62,7 +62,7 @@ START = "<s>"
 K_MIN, K_MAX = -322, 307
 
 
-class SynthError(ValueError):
+class SynthError(datagen.DataError):
     """No usable equation within the retry budget."""
 
 
@@ -382,15 +382,9 @@ def _leakage_items(root: Path) -> list[LeakageItem]:
 
 
 def _split_ranges(pdir: Path) -> tuple[tuple[float, float], ...]:
-    """The observed input ranges over the split files of a problem directory;
-    split files of different widths are a data error."""
-    paths = [pdir / name for name in datagen.SPLIT_FILES.values() if (pdir / name).is_file()]
-    chunks = [datagen.read(path).values for path in paths]
-    width = chunks[0].shape[1]
-    for path, chunk in zip(paths, chunks):
-        if chunk.shape[1] != width:
-            raise datagen.DataError(f"{path}: expected {width} columns as in "
-                                    f"{paths[0].name}, found {chunk.shape[1]}")
+    """The observed input ranges over the split files of a problem directory,
+    read by :func:`.datagen.read_splits`."""
+    chunks = [part.values for part in datagen.read_splits(pdir, (), datagen.SPLIT_FILES).values()]
     return observed_ranges(np.concatenate(chunks, axis=0)[:, :-1])
 
 

@@ -266,7 +266,7 @@ def test_eval_canonicalization_out_of_passes_is_data_error(tmp_path, easy_data, 
     monkeypatch.setattr(canon, "_MAX_PASSES", 1)
     code, _, err = run(capsys, "eval", "--pred-dir", str(preds), "--data-dir", str(easy_data))
     assert code == 2
-    assert err == "error: canonicalization did not reach a fixed point in 1 passes\n"
+    assert err == "error: I.12.1: canonicalization did not reach a fixed point in 1 passes\n"
 
 
 @pytest.mark.parametrize("name", ["test.txt", "true_eq.txt"])
