@@ -20,7 +20,7 @@ from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
-from ..errors import DataError, read_text
+from ..errors import DataError, decode_json, read_text
 from ..expr import Expression, ExpressionError, ParseError, canonicalize, count_ops, parse, skeletonize
 
 BUILTIN_SETS = ("easy", "medium", "hard")
@@ -214,10 +214,7 @@ def save(specs: list[ProblemSpec], path) -> None:
 
 
 def loads(text: str, source="<string>") -> list[ProblemSpec]:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise CatalogError(f"{source}: not valid JSON: {err}") from None
+    payload = decode_json(text, source)
     if not isinstance(payload, list):
         raise CatalogError(f"{source}: expected one array of problems")
     return [problem_from_payload(obj, f"{source}[{i}]") for i, obj in enumerate(payload)]

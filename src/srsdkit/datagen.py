@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -490,5 +491,5 @@ def generate(out, set_name: str = "all", catalog_files=(), rows: int = DEFAULT_R
     entries = sorted(map_workers(write_one, specs, workers), key=lambda e: e["id"])
     config = {"set": set_name, "rows": rows, "master_seed": seed, "noise_level": noise_level,
               "noise_mode": noise_mode, "split_ratios": list(ratios),
-              "catalog_files": list(catalog_files)}
+              "catalog_files": [os.fspath(p) for p in catalog_files]}
     return write_manifest({"command": "generate", "config": config, "problems": entries}, out)

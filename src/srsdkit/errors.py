@@ -1,7 +1,8 @@
 """``DataError``, the base of every input-error class (CLI exit code 2), its
-subclass ``ArgumentError`` (exit code 1), and the readers of text and JSON
-files that raise it naming the file. This module imports nothing of
-srsdkit, so every module can import it.
+subclass ``ArgumentError`` (exit code 1), the one decoder of JSON text, and
+the readers of text and JSON files; the decoder and readers raise it naming
+the file. This module imports nothing of srsdkit, so every module can import
+it.
 """
 
 from __future__ import annotations
@@ -45,10 +46,17 @@ def read_text(path) -> str:
         raise DataError(f"{path}: not UTF-8 text ({err.reason} at byte offset {err.start})") from None
 
 
-def read_json(path):
-    """The JSON value of the :func:`read_text` of ``path``; text that is not
-    JSON raises ``DataError``."""
+def decode_json(text: str, source):
+    """The JSON value of ``text``, read from ``source``; text that is not JSON,
+    or is nested too deeply for the decoder, raises ``DataError`` naming it."""
     try:
-        return json.loads(read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as err:
-        raise DataError(f"{path}: not valid JSON: {err}") from None
+        raise DataError(f"{source}: not valid JSON: {err}") from None
+    except RecursionError:
+        raise DataError(f"{source}: JSON nested too deeply") from None
+
+
+def read_json(path):
+    """The :func:`decode_json` of the :func:`read_text` of ``path``."""
+    return decode_json(read_text(path), path)

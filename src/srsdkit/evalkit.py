@@ -14,6 +14,7 @@ the canonicalizer's rewrite rules; an undecided case reports False).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from pathlib import Path
 
@@ -35,7 +36,6 @@ from .expr import (
     prefix_to_expression,
     skeletonize,
 )
-from .expr.evaluate import _HELD_BY_OWNER  # the owner of FitnessRows holds np.errstate
 from .treedist import distance_result
 
 TINY_TARGET = 1e-300  # rows with |y| below this are skipped by Eq-style relative error
@@ -77,12 +77,12 @@ def is_symbolic_solution(pred: Expression, truth: Expression) -> bool:
 
 
 class FitnessRows:
-    """One ``X`` and ``y`` made ready for the many :func:`relative_error_score`
-    calls of a GP run. The target-side terms, which depend only on ``y``, are
-    computed once, and ``memo`` keeps ``sin``, ``cos``, ``exp`` and ``log``
-    results over ``X`` (see :class:`.expr.Memo`). It lives as long as the run,
-    belongs to these two arrays only, and is used, like its memo, inside
-    ``np.errstate(all="ignore")`` held by its owner."""
+    """One ``X`` and ``y`` made ready for :func:`relative_error_score`: each
+    GP run, :func:`select_best` and call without ``rows`` makes one. The
+    target-side terms, which depend only on ``y``, are computed once, and
+    ``memo`` keeps ``sin``, ``cos``, ``exp`` and ``log`` results over ``X``
+    (see :class:`.expr.Memo`). It belongs to these two arrays only, and is
+    used, like its memo, inside ``np.errstate(all="ignore")`` held by its owner."""
 
     __slots__ = ("X", "y", "usable", "n_usable", "memo")
 
@@ -97,29 +97,27 @@ class FitnessRows:
 def relative_error_score(expr, X: np.ndarray, y: np.ndarray, rows: FitnessRows | None = None) -> float:
     """Mean squared relative error of ``expr`` (an ``Expression`` or a
     program), skipping near-zero targets and faulting rows; infinity when
-    over half the rows fault or nothing is scorable. ``rows``, made for
-    this very ``X`` and ``y``, saves the work that depends only on them and
-    gives the same score."""
-    if rows is None:
-        usable = np.abs(y) >= TINY_TARGET
-        n_usable = np.count_nonzero(usable)
-        memo = None
-    elif y is not rows.y:
+    over half the rows fault or nothing is scorable. ``rows`` made for this
+    very ``X`` and ``y`` gives the same score inside the ``np.errstate`` its
+    owner holds; without it, the call makes and holds its own of both, and
+    leaves out the memo, which it would use once."""
+    own = rows is None
+    held = np.errstate(all="ignore") if own else contextlib.nullcontext()
+    rows = FitnessRows(X, y) if own else rows
+    if y is not rows.y:
         raise ValueError("the fitness rows were made for another target")
-    else:
-        usable, n_usable, memo = rows.usable, rows.n_usable, rows.memo
-    values, faulted = evaluate_many(expr, X, memo)
-    n_faulted = np.count_nonzero(faulted)
-    if 2 * n_faulted > faulted.size:  # exact, and total on 0 rows
-        return math.inf
-    if n_faulted:
-        usable = usable & ~faulted
-        n_usable = np.count_nonzero(usable)
-    if n_usable == 0:
-        return math.inf
-    # values is this call's own array: the ratio is formed in place, then skipped rows dropped.
-    errors = np.errstate(over="ignore", invalid="ignore", divide="ignore") if rows is None else _HELD_BY_OWNER
-    with errors:
+    with held:
+        values, faulted = evaluate_many(expr, X, None if own else rows.memo)
+        n_faulted = np.count_nonzero(faulted)
+        if 2 * n_faulted > faulted.size:  # exact, and total on 0 rows
+            return math.inf
+        usable, n_usable = rows.usable, rows.n_usable
+        if n_faulted:
+            usable = usable & ~faulted
+            n_usable = np.count_nonzero(usable)
+        if n_usable == 0:
+            return math.inf
+        # values is this call's own array: the ratio is formed in place, then skipped rows dropped.
         values -= y
         values /= y
         values *= values
@@ -136,7 +134,9 @@ def select_best(candidates: list[Expression], validation: datagen.Dataset) -> Ex
         raise ValueError("no candidates to select from")
     if validation.n_rows == 0:
         raise ValueError("validation dataset is empty")
-    scores = [relative_error_score(c, validation.X, validation.y) for c in candidates]
+    rows = FitnessRows(validation.X, validation.y)
+    with np.errstate(all="ignore"):  # for rows, which leave it to their owner
+        scores = [relative_error_score(c, rows.X, rows.y, rows) for c in candidates]
     best_score = min(scores)
     if math.isinf(best_score):
         raise NoViableCandidateError("all candidates scored +inf on the validation rows")

@@ -89,7 +89,7 @@ class Memo:
 
     def __init__(self, X: np.ndarray):
         self.X = X
-        self.capacity = MEMO_BYTES // (8 * max(1, X.shape[0]))
+        self.capacity = MEMO_BYTES // (8 * max(1, len(X)))
         self.results: dict[tuple, np.ndarray] = {}
 
     def keep(self, key: tuple, values: np.ndarray) -> None:
@@ -120,11 +120,11 @@ def evaluate_many(expr, X: np.ndarray, memo: Memo | None = None) -> tuple[np.nda
     zero (see :class:`Memo`).
     """
     program = to_program(expr) if isinstance(expr, Expression) else expr
+    if memo is not None and memo.X is not X:  # before conversion, which may make a new view
+        raise ValueError("the memo was made for other rows")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-dimensional")
-    if memo is not None and memo.X is not X:
-        raise ValueError("the memo was made for other rows")
     n, width = X.shape
     if n == 1:  # evaluated as two copies of the row; see _filled
         values, faulted = evaluate_many(program, np.repeat(X, 2, axis=0))

@@ -276,9 +276,8 @@ def fitness(expr, train: Dataset, rows: FitnessRows | None = None) -> float:
     """Mean squared relative error on the training rows (lower is better) of
     an ``Expression`` or a program. ``rows`` is ``train`` made ready once per
     run by :func:`evolve`; the score is the same with or without it."""
-    if rows is None:
-        return relative_error_score(expr, train.X, train.y)
-    return relative_error_score(expr, rows.X, rows.y, rows)
+    data = rows or train  # either holds the X and y to score on
+    return relative_error_score(expr, data.X, data.y, rows)
 
 
 def _tournament(fitnesses: list[float], rng: random.Random, k: int) -> int:

@@ -100,6 +100,32 @@ def corrupt_manifest(tmp, data):
             f"{data / 'manifest.json'}: not valid JSON: ")
 
 
+_TOO_DEEP = "[" * 100_000  # json.loads raises RecursionError, not JSONDecodeError
+
+
+def deep_manifest(tmp, data):
+    (data / "manifest.json").write_text(_TOO_DEEP)
+    return (["eval", "--pred-dir", data, "--data-dir", data],
+            lambda: evalkit.eval_report(data, data),
+            f"{data / 'manifest.json'}: JSON nested too deeply")
+
+
+def deep_gp_config(tmp, data):
+    argv, call = _discover(tmp, data)
+    config = tmp / "gp.json"
+    config.write_text(_TOO_DEEP)
+    return argv, call, f"{config}: JSON nested too deeply"
+
+
+def deep_catalog(tmp, data):
+    path = tmp / "catalog.json"
+    path.write_text(_TOO_DEEP)
+    out = tmp / "runs" / "out"
+    return (["generate", "--catalog", path, "--rows", "40", "--out", out],
+            lambda: datagen.generate(out, catalog_files=[path], rows=40),
+            f"{path}: JSON nested too deeply")
+
+
 def _catalog_case(command, *entries, expected):
     def case(tmp, data):
         path = _catalog(tmp, *entries)
@@ -162,10 +188,14 @@ CASES = [
     one_column_splits_in_discover,
     narrow_val_in_eval,
     constant_test_target_in_eval,
+    deep_manifest,
+    deep_gp_config,
+    deep_catalog,
 ]
 _IDS = ["corrupt_manifest", "overflow_generate", "overflow_complexity", "overflow_synth",
         "duplicate_id", "escaping_id", "duplicate_variable", "narrow_val_discover",
-        "one_column_discover", "narrow_val_eval", "constant_target_eval"]
+        "one_column_discover", "narrow_val_eval", "constant_target_eval", "deep_manifest",
+        "deep_gp_config", "deep_catalog"]
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import numpy as np
@@ -84,6 +85,15 @@ def test_determinism_same_seed_same_population():
     ds = _constant_dataset()
     cfg = GPConfig(population_size=60, generations=5, seed=11)
     assert evolve(ds, cfg) == evolve(ds, cfg)
+
+
+def test_a_pickled_training_array_evolves_as_the_original():
+    # An array that came through pickle, as from a process pool, carries a
+    # dtype that np.asarray(..., dtype=np.float64) converts to a new view.
+    values = sample(load_builtin("I.12.1"), 200, derive_seed(3, "I.12.1")).values
+    cfg = GPConfig(population_size=40, generations=3, seed=2)
+    assert (evolve(Dataset(pickle.loads(pickle.dumps(values))), cfg)
+            == evolve(Dataset(values), cfg))
 
 
 def test_different_seeds_differ():

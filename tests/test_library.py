@@ -9,7 +9,7 @@ import shutil
 import pytest
 
 from srsdkit import datagen, evalkit, gp, synthgen
-from srsdkit.catalog import load_builtin
+from srsdkit.catalog import builtin_problems, load_builtin, save
 from srsdkit.cli import main
 from srsdkit.expr import expression_to_prefix
 
@@ -126,6 +126,15 @@ def test_generate_is_what_generate_prints(tmp_path, capsys, workers):
     assert _printed(manifest) == out
     assert _tree(lib_root) == _tree(cli_root)
     assert (lib_root / datagen.MANIFEST_FILE).read_text() == out
+
+
+def test_generate_records_path_catalog_files_as_strings(tmp_path):
+    path = tmp_path / "catalog.json"
+    save(builtin_problems("easy")[:2], path)
+    by_str = datagen.generate(tmp_path / "str", catalog_files=[str(path)], rows=40)
+    by_path = datagen.generate(tmp_path / "path", catalog_files=[path], rows=40)
+    assert by_path == by_str
+    assert _tree(tmp_path / "path") == _tree(tmp_path / "str")
 
 
 def test_synth_is_what_synth_prints(tmp_path, capsys):
